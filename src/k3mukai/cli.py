@@ -16,7 +16,6 @@ import sys
 from fractions import Fraction
 
 from .lattice import (
-    LatticeError,
     fingerprint,
     gram_matrix,
     gram_rank,
@@ -41,7 +40,6 @@ from .segre_verlinde import (
     segre_number,
     verlinde_number,
 )
-from .series import SeriesError
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -111,14 +109,14 @@ def _load_input(path: str) -> dict:
 
 def _cmd_segre(args) -> int:
     params = SegreParams(rho=args.rho, s=args.s, c2=args.c2, c1sq=args.c1sq, n=args.n)
-    value = segre_number(params, order=args.order)
+    value = segre_number(params)
     _emit({"value": str(value)}, args.format)
     return EXIT_OK
 
 
 def _cmd_verlinde(args) -> int:
     params = VerlindeParams(rho=args.rho, r=args.r, chiL=args.chiL, n=args.n)
-    value = verlinde_number(params, order=args.order)
+    value = verlinde_number(params)
     _emit({"value": str(value)}, args.format)
     return EXIT_OK
 
@@ -214,8 +212,14 @@ def _sweep_point_cross_check(point) -> dict:
     return {"rho": rho, "s": s, "c2": c2, "c1sq": c1sq, "ok": ok}
 
 
-def _run_points(worker, points, jobs: int) -> list[dict]:
-    if jobs <= 1 or len(points) < 2:
+def _worker_count(jobs: int | None, n_points: int, cpus: int) -> int:
+    """Sweep worker processes: never more than grid points or cores."""
+    return max(1, min(cpus if jobs is None else jobs, n_points, cpus))
+
+
+def _run_points(worker, points, jobs: int | None) -> list[dict]:
+    jobs = _worker_count(jobs, len(points), os.cpu_count() or 1)
+    if jobs == 1:
         return [worker(p) for p in points]
     try:
         from concurrent.futures import ProcessPoolExecutor
@@ -228,12 +232,11 @@ def _run_points(worker, points, jobs: int) -> list[dict]:
 
 
 def _cmd_sweep(args) -> int:
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if args.target == "check-sv":
         points = [
             (rho, r, args.order) for rho in args.rho for r in args.r
         ]
-        results = _run_points(_sweep_point_check_sv, points, jobs)
+        results = _run_points(_sweep_point_check_sv, points, args.jobs)
     else:
         points = [
             (rho, s, c2, c1sq)
@@ -242,7 +245,7 @@ def _cmd_sweep(args) -> int:
             for c2 in args.c2
             for c1sq in args.c1sq
         ]
-        results = _run_points(_sweep_point_cross_check, points, jobs)
+        results = _run_points(_sweep_point_cross_check, points, args.jobs)
     failures = [r for r in results if not r["ok"]]
     doc = {
         "command": args.target,
@@ -275,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--c1sq", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=None, help="working order (default n+4)")
     p.set_defaults(func=_cmd_segre)
 
     p = sub.add_parser("verlinde", help="one Verlinde number")
@@ -283,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--chiL", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--order", type=int, default=None)
     p.set_defaults(func=_cmd_verlinde)
 
     p = sub.add_parser("check-sv", help="verify the Segre-Verlinde correspondence")
@@ -328,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c1sq", type=_parse_grid, default=[])
     p.add_argument("--order", type=int, default=12)
     p.add_argument("--jobs", type=int, default=None,
-                   help="sweep parallelism (default: available cores)")
+                   help="worker processes (default and cap: available cores)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
@@ -342,10 +343,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (SeriesError, LatticeError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (ArithmeticError, LookupError, OSError, TypeError, ValueError) as exc:
+        # malformed input (bad JSON shapes, zero denominators, missing keys)
+        # is an input error, never a failed verification
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

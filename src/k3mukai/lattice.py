@@ -18,12 +18,13 @@ floating point would corrupt.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
+
+from .series import _frac
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -50,10 +51,6 @@ class DegenerateSpan(LatticeError):
 
 class NotInSpan(LatticeError):
     """A vector outside the source span was handed to a span isometry."""
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def _matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -543,7 +540,3 @@ def mukai_vector_from_json(obj: dict) -> MukaiVector:
         tuple(Fraction(x) for x in obj["c1"]),
         Fraction(obj["v2"]),
     )
-
-
-def mukai_vector_to_json_string(v: MukaiVector) -> str:
-    return json.dumps(mukai_vector_to_json(v), sort_keys=True)

@@ -23,14 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .segre_verlinde import SegreParams, segre_number
+from .series import _frac
 
 
 class DimensionMismatch(ValueError):
     """The closed-form evaluation only covers half-dimension one."""
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -169,12 +166,9 @@ def hilbert_pairings(t: ReductionTarget) -> PairingList:
 
 
 def c2_from_v2(rank: Fraction, c1sq: Fraction, v2: Fraction) -> Fraction:
-    """Invert v2 = rank + c1^2/2 - c2."""
+    """Invert v2 = rank + c1^2/2 - c2; the relation is symmetric, so the
+    same call also gives v2 from c2."""
     return rank + c1sq / 2 - v2
-
-
-def v2_from_c2(rank: Fraction, c1sq: Fraction, c2: Fraction) -> Fraction:
-    return rank + c1sq / 2 - c2
 
 
 def dim2_evaluate(m: ModuliData) -> Fraction:
@@ -203,7 +197,7 @@ def segre_cross_check(rho: int, s: int, c2: int, c1sq: int) -> bool:
         rank=Fraction(s),
         c1sq=Fraction(c1sq),
         c1L=Fraction(0),
-        v2=v2_from_c2(Fraction(s), Fraction(c1sq), Fraction(c2)),
+        v2=c2_from_v2(Fraction(s), Fraction(c1sq), Fraction(c2)),
     )
     value_closed = dim2_evaluate(ModuliData(rho=rho, n=1, alpha=alpha, Lsq=0, u=0))
     return value_series == value_closed

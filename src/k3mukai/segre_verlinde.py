@@ -28,21 +28,19 @@ correspondence under s = rho + r and nu = t (1 - (r/rho) t)^(-1):
 
 which check_correspondence verifies order by order in the common parameter
 t, with exact rational arithmetic throughout.
+
+Every factor is a binomial power (1 + ct)^e, so the numbers need no series
+reversion: by Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z' is
+a coefficient of another binomial product.  build_vwx, build_fg and
+segre_variable_change serve check_correspondence and the tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .series import OrderExceeded, TruncatedSeries, constant, identity
-
-DEFAULT_GUARD_TERMS = 4
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+from .series import TruncatedSeries, _frac, constant, identity
 
 
 def _unit_linear(c: Fraction, order: int) -> TruncatedSeries:
@@ -89,10 +87,15 @@ class VerlindeParams:
             raise ValueError("n must be non-negative")
 
 
-@lru_cache(maxsize=256)
-def _build_vwx(rho: int, s: Fraction, order: int):
-    a = 1 - Fraction(s, rho)
-    b = 2 - Fraction(s, rho)
+def build_vwx(rho: int, s, order: int):
+    """The three Segre factor series (V, W, X) in t, exact to `order`."""
+    if rho < 1:
+        raise ValueError("rho must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    s = _frac(s)
+    a = 1 - s / rho
+    b = 2 - s / rho
     base_a = _unit_linear(a, order)
     base_b = _unit_linear(b, order)
     base_ab = _unit_linear(a * b, order)
@@ -116,53 +119,63 @@ def _build_vwx(rho: int, s: Fraction, order: int):
     return v, w, x
 
 
-def build_vwx(rho: int, s, order: int):
-    """The three Segre factor series (V, W, X) in t, exact to `order`."""
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    return _build_vwx(rho, _frac(s), order)
-
-
-@lru_cache(maxsize=256)
-def _segre_t_of_z(rho: int, s: Fraction, order: int) -> TruncatedSeries:
-    a = 1 - Fraction(s, rho)
-    z_of_t = identity(order) * _unit_linear(a, order).pow_rational(a)
-    return z_of_t.revert()
-
-
 def segre_variable_change(rho: int, s, order: int) -> TruncatedSeries:
     """t as a series in z, inverting z = t (1 + (1-s/rho) t)^(1-s/rho)."""
     if rho < 1:
         raise ValueError("rho must be a positive integer")
     if order < 1:
         raise ValueError("order must be at least 1")
-    return _segre_t_of_z(rho, _frac(s), order)
+    a = 1 - _frac(s) / rho
+    z_of_t = identity(order) * _unit_linear(a, order).pow_rational(a)
+    return z_of_t.revert()
 
 
-def segre_number(params: SegreParams, order: int | None = None) -> Fraction:
-    """[z^n] of V^c2 * W^c1sq * X^2 after the variable change."""
-    if order is None:
-        order = params.n + DEFAULT_GUARD_TERMS
-    if order < params.n:
-        raise OrderExceeded(
-            f"working order {order} is below the requested coefficient {params.n}"
-        )
-    v, w, x = build_vwx(params.rho, params.s, order)
-    product = (
-        v.pow_rational(params.c2)
-        * w.pow_rational(params.c1sq)
-        * x.pow_rational(2)
+def _binomial_product(factors: dict, n: int) -> list[Fraction]:
+    """Coefficients t^0..t^n of prod (1 + c t)^e over the factors {c: e}.
+
+    The logarithmic derivative P'/P = sum e c / (1 + c t) gives Q P' = R P
+    with polynomials Q = prod (1 + c t), R = Q sum e c / (1 + c t); at t^m
+    this is J.C.P. Miller's recurrence, O(#factors) steps per coefficient:
+        (m+1) p_(m+1) = sum_j r_j p_(m-j) - sum_(j>=1) q_j (m+1-j) p_(m+1-j).
+    Factors with c = 0 or e = 0 are the constant 1 and drop out.
+    """
+    q, r = [Fraction(1)], [Fraction(0)]
+    for c, e in factors.items():
+        if c and e:
+            r = [x + c * y + e * c * z for x, y, z in zip(r + [0], [0] + r, q + [0])]
+            q = [x + c * y for x, y in zip(q + [0], [0] + q)]
+    p = [Fraction(1)]
+    for m in range(n):
+        acc = sum(r[j] * p[m - j] for j in range(min(m + 1, len(r))))
+        acc -= sum(q[j] * (m + 1 - j) * p[m + 1 - j] for j in range(1, min(m + 2, len(q))))
+        p.append(acc / (m + 1))
+    return p
+
+
+def segre_number(params: SegreParams) -> Fraction:
+    """[z^n] of V^c2 * W^c1sq * X^2 with z = t (1+at)^a, by Lagrange-Buermann.
+
+    [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z', and since b = 1 + a,
+    (t/z)^(n+1) z' = (1+at)^(-an-1) (1+abt) cancels the (1+abt)^(-1) of
+    X^2: the integrand is a product of powers of 1+at and 1+bt.
+    """
+    rho, s, c2, c1sq, n = params.rho, params.s, params.c2, params.c1sq, params.n
+    a = 1 - s / rho
+    e_a = (
+        c2 * (rho - s)
+        + c1sq * (s - rho - 1) / 2
+        + s * s - 2 * s - (rho - 1) ** 2 * s / rho
     )
-    if params.n == 0:
-        return product.coeff(0)
-    t_of_z = segre_variable_change(params.rho, params.s, order)
-    return product.compose(t_of_z).coeff(params.n)
+    e_b = c2 * s + c1sq * (1 - s) / 2 + 1 - s * s
+    return _binomial_product({a: e_a - a * n - 1, 1 + a: e_b}, n)[n]
 
 
-@lru_cache(maxsize=256)
-def _build_fg(rho: int, r: int, order: int):
+def build_fg(rho: int, r: int, order: int):
+    """The Verlinde series (F, G) in nu, plus the variable change w(nu)."""
+    if rho < 1:
+        raise ValueError("rho must be a positive integer")
+    if order < 1:
+        raise ValueError("order must be at least 1")
     q = Fraction(r * r, rho * rho)
     nu = identity(order)
     one_plus_nu = _unit_linear(Fraction(1), order)
@@ -172,28 +185,15 @@ def _build_fg(rho: int, r: int, order: int):
     return f, g, w_of_nu
 
 
-def build_fg(rho: int, r: int, order: int):
-    """The Verlinde series (F, G) in nu, plus the variable change w(nu)."""
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return _build_fg(rho, r, order)
+def verlinde_number(params: VerlindeParams) -> Fraction:
+    """[w^n] of G^chiL * F with w = nu (1+nu)^(q-1), by Lagrange-Buermann.
 
-
-def verlinde_number(params: VerlindeParams, order: int | None = None) -> Fraction:
-    """[w^n] of G^chiL * F, with nu re-expressed through w by reversion."""
-    if order is None:
-        order = params.n + DEFAULT_GUARD_TERMS
-    if order < params.n:
-        raise OrderExceeded(
-            f"working order {order} is below the requested coefficient {params.n}"
-        )
-    order = max(order, 1)
-    f, g, w_of_nu = build_fg(params.rho, params.r, order)
-    series_in_nu = g.pow_rational(params.chiL) * f
-    nu_of_w = w_of_nu.revert()
-    return series_in_nu.compose(nu_of_w).coeff(params.n)
+    (nu/w)^(n+1) w' = (1+nu)^((1-q) n - 1) (1 + q nu) cancels the
+    (1 + q nu)^(-1) of F, leaving a single power of 1 + nu.
+    """
+    q = Fraction(params.r * params.r, params.rho * params.rho)
+    n = params.n
+    return _binomial_product({1: params.chiL + (1 - q) * (n - 1)}, n)[n]
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,15 @@ is no rounding anywhere.  Operations on two series truncate the result to
 the smaller of the two orders and never extend a series silently, so the
 order always tells you exactly how many coefficients are trustworthy.
 
-Compositional inversion is done by Newton iteration on composition; the
-classical coefficient formula of Lagrange and Buermann is kept out of the
-core and used as an independent test oracle.
+Compositional inversion is done by Newton iteration on composition.  The
+Segre and Verlinde numbers bypass this engine (see segre_verlinde); in the
+tests, its reversion route is their independent oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 Rational = Fraction
@@ -49,9 +50,13 @@ class OrderExceeded(SeriesError):
 
 
 def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _integer_coeffs(coeffs) -> tuple[list[int], int]:
+    """Numerators over the least common denominator of `coeffs`."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 class TruncatedSeries:
@@ -134,18 +139,17 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
+            # convolve integer numerators; normalise once per coefficient
             n = min(self.order, other.order)
-            f, g = self._coeffs, other._coeffs
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                fi = f[i]
-                if fi == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    gj = g[j]
-                    if gj != 0:
-                        out[i + j] += fi * gj
-            return TruncatedSeries(out)
+            f, df = _integer_coeffs(self._coeffs[: n + 1])
+            g, dg = _integer_coeffs(other._coeffs[: n + 1])
+            out = [0] * (n + 1)
+            for i, fi in enumerate(f):
+                if fi:
+                    for j in range(n + 1 - i):
+                        out[i + j] += fi * g[j]
+            d = df * dg
+            return TruncatedSeries([Fraction(c, d) for c in out])
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries([c * other for c in self._coeffs])
         return NotImplemented

@@ -2,7 +2,29 @@
 
 from fractions import Fraction
 
+from k3mukai.segre_verlinde import build_fg, build_vwx, segre_variable_change
 from k3mukai.series import TruncatedSeries
+
+
+def segre_by_reversion(params, order: int) -> Fraction:
+    """[z^n] of V^c2 W^c1sq X^2 by reverting z(t) and composing at `order`.
+
+    This is the Newton-reversion route: the series engine inverts the
+    variable change and substitutes it, with no use of Lagrange-Buermann.
+    """
+    v, w, x = build_vwx(params.rho, params.s, order)
+    product = v.pow_rational(params.c2) * w.pow_rational(params.c1sq) * x.pow_rational(2)
+    if params.n == 0:
+        return product.coeff(0)
+    t_of_z = segre_variable_change(params.rho, params.s, order)
+    return product.compose(t_of_z).coeff(params.n)
+
+
+def verlinde_by_reversion(params, order: int) -> Fraction:
+    """[w^n] of G^chiL F by reverting w(nu) and composing at `order`."""
+    f, g, w_of_nu = build_fg(params.rho, params.r, max(order, 1))
+    series_in_nu = g.pow_rational(params.chiL) * f
+    return series_in_nu.compose(w_of_nu.revert()).coeff(params.n)
 
 
 def lagrange_coefficient(h: TruncatedSeries, z: TruncatedSeries, n: int) -> Fraction:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from k3mukai.cli import main
+from k3mukai.cli import _worker_count, main
 from k3mukai.lattice import (
     hilbert_scheme_vector,
     k3_lattice,
@@ -186,6 +186,59 @@ def test_missing_input_file_exit_code(capsys, tmp_path):
     code, out, err = run_cli(capsys, "fingerprint", "--input", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error:" in err
+
+
+def _input_error(capsys, tmp_path, command, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_reduce_input_zero_denominator_is_input_error(capsys, tmp_path):
+    payload = {
+        "rho": 3,
+        "n": 2,
+        "alpha": {"rank": "1/0", "c1sq": "4", "c1L": "0", "v2": "1"},
+        "Lsq": "0",
+        "u": "0",
+    }
+    _input_error(capsys, tmp_path, "reduce", payload)
+
+
+def test_fingerprint_input_top_level_list_is_input_error(capsys, tmp_path):
+    _input_error(capsys, tmp_path, "fingerprint", [1, 2, 3])
+
+
+def test_fingerprint_input_scalar_c1_is_input_error(capsys, tmp_path):
+    v = {"rank": "1", "c1": 5, "v2": "0", "space": "k3"}
+    _input_error(capsys, tmp_path, "fingerprint", {"v": v, "xs": []})
+
+
+def test_numbers_have_no_order_flag(capsys):
+    code, out, _ = run_cli(
+        capsys, "segre", "--rho", "1", "--s", "1", "--c2", "3", "--c1sq", "0", "--n", "2",
+        "--order", "6",
+    )
+    assert (code, out) == (2, "")
+    code, out, _ = run_cli(
+        capsys, "verlinde", "--rho", "1", "--r", "0", "--chiL", "3", "--n", "2", "--order", "6"
+    )
+    assert (code, out) == (2, "")
+
+
+def test_sweep_worker_count_is_clamped():
+    # pure function: no process is started here
+    assert _worker_count(None, 28, 2) == 2
+    assert _worker_count(4096, 2, 64) == 2
+    assert _worker_count(4096, 100, 8) == 8
+    assert _worker_count(3, 100, 8) == 3
+    assert _worker_count(None, 1, 8) == 1
+    assert _worker_count(5, 0, 8) == 1
+    assert _worker_count(0, 10, 8) == 1
+    assert _worker_count(-3, 10, 8) == 1
 
 
 def test_output_byte_stable(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import lagrange_coefficient, segre_by_reversion, verlinde_by_reversion
 from k3mukai.series import OrderExceeded, TruncatedSeries, constant, identity
 from k3mukai.segre_verlinde import (
     SegreParams,
@@ -118,17 +119,22 @@ def test_segre_number_rational_s():
     assert isinstance(value, Fraction)
 
 
-def test_segre_number_order_too_small():
+def test_segre_oracle_working_order_independent():
+    # the reversion oracle needs order >= n and then gives one value at
+    # every working order, the value segre_number computes with none
+    params = SegreParams(3, F(5, 3), 3, -1, 6)
     with pytest.raises(OrderExceeded):
-        segre_number(SegreParams(1, 1, 3, 0, 2), order=1)
+        segre_by_reversion(params, order=5)
+    expected = segre_number(params)
+    for order in (6, 7, 10, 15):
+        assert segre_by_reversion(params, order) == expected
 
 
-@pytest.mark.parametrize("rho,s", [(1, 1), (2, 2), (2, 4), (3, 3)])
+@pytest.mark.parametrize("rho,s", [(1, 1), (2, 2), (2, 4), (3, 3), (3, 1), (2, F(1, 2))])
 def test_segre_number_x_square_two_substitution_paths(rho, s):
-    # with c2 = c1sq = 0 the integrand is X^2; the revert/compose route must
-    # agree with the Lagrange coefficient formula applied to the same data
-    from helpers import lagrange_coefficient
-
+    # with c2 = c1sq = 0 the integrand is X^2; production must agree with
+    # the revert/compose route at order n and n + 4, and with the
+    # derivative form of the Lagrange coefficient formula
     order = 8
     a = 1 - F(s, rho)
     base = TruncatedSeries([1, a] + [0] * (order - 1))
@@ -136,8 +142,11 @@ def test_segre_number_x_square_two_substitution_paths(rho, s):
     _, _, x = build_vwx(rho, s, order)
     x_sq = x.pow_rational(2)
     for n in range(1, order + 1):
-        via_reversion = segre_number(SegreParams(rho, s, 0, 0, n), order=order)
-        assert via_reversion == lagrange_coefficient(x_sq, z_of_t, n)
+        params = SegreParams(rho, s, 0, 0, n)
+        value = segre_number(params)
+        assert value == segre_by_reversion(params, n)
+        assert value == segre_by_reversion(params, n + 4)
+        assert value == lagrange_coefficient(x_sq, z_of_t, n)
 
 
 # -- Verlinde series -------------------------------------------------------------
@@ -194,23 +203,55 @@ def test_verlinde_number_even_in_r():
                 )
 
 
-def test_verlinde_order_too_small():
+def test_verlinde_oracle_working_order_independent():
+    params = VerlindeParams(3, -2, 4, 5)
     with pytest.raises(OrderExceeded):
-        verlinde_number(VerlindeParams(1, 0, 3, 4), order=2)
+        verlinde_by_reversion(params, order=4)
+    expected = verlinde_number(params)
+    for order in (5, 6, 9, 14):
+        assert verlinde_by_reversion(params, order) == expected
 
 
-@pytest.mark.parametrize("rho,r,chiL", [(2, 1, 3), (3, -2, -1), (4, 3, 0)])
+@pytest.mark.parametrize("rho,r,chiL", [(2, 1, 3), (3, -2, -1), (4, 3, 0), (2, 2, 5), (3, 0, 2)])
 def test_verlinde_number_against_lagrange_route(rho, r, chiL):
-    # the reversion-free Lagrange formula applied to G^chiL * F and w(nu)
-    # must reproduce every extracted coefficient
-    from helpers import lagrange_coefficient
-
+    # production must agree with reverting w(nu) at order n and n + 4, and
+    # with the derivative form of the Lagrange formula on G^chiL * F
     order = 8
     f, g, w_of_nu = build_fg(rho, r, order)
     series_in_nu = g.pow_rational(chiL) * f
     for n in range(1, order + 1):
-        via_reversion = verlinde_number(VerlindeParams(rho, r, chiL, n), order=order)
-        assert via_reversion == lagrange_coefficient(series_in_nu, w_of_nu, n)
+        params = VerlindeParams(rho, r, chiL, n)
+        value = verlinde_number(params)
+        assert value == verlinde_by_reversion(params, n)
+        assert value == verlinde_by_reversion(params, n + 4)
+        assert value == lagrange_coefficient(series_in_nu, w_of_nu, n)
+
+
+@st.composite
+def _edge_case_point(draw):
+    rho = draw(st.integers(min_value=1, max_value=6))
+    s = draw(st.one_of(
+        st.fractions(min_value=-6, max_value=12, max_denominator=4),
+        st.sampled_from([F(rho), F(2 * rho)]),  # a = 0 and a = -1
+    ))
+    r = draw(st.one_of(st.integers(-9, 9), st.sampled_from([0, rho, -rho])))  # q = 0, 1
+    n = draw(st.integers(min_value=0, max_value=9))
+    return rho, s, r, n
+
+
+@given(
+    _edge_case_point(),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(0, 4),
+)
+@settings(max_examples=40)
+def test_numbers_match_reversion_oracle_property(point, e1, e2, guard):
+    rho, s, r, n = point
+    segre = SegreParams(rho, s, e1, e2, n)
+    assert segre_number(segre) == segre_by_reversion(segre, n + guard)
+    verlinde = VerlindeParams(rho, r, e1, n)
+    assert verlinde_number(verlinde) == verlinde_by_reversion(verlinde, n + guard)
 
 
 # -- the correspondence -----------------------------------------------------------

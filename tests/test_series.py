@@ -70,6 +70,18 @@ def test_mul_square():
     assert S(1, 1, 0, 0) * S(1, 1, 0, 0) == S(1, 2, 1, 0)
 
 
+@given(series_strategy(6), st.integers(min_value=3, max_value=8).flatmap(series_strategy))
+def test_mul_matches_fraction_convolution(f, g):
+    # the plain Fraction double loop is the reference for the integer product
+    n = min(f.order, g.order)
+    expected = [
+        sum((f.coeffs[i] * g.coeffs[k - i] for i in range(k + 1)), F(0)) for k in range(n + 1)
+    ]
+    product = f * g
+    assert list(product.coeffs) == expected
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
 def test_min_order_semantics():
     f = S(1, 2, 3, 4)
     g = S(1, 1)
