@@ -40,6 +40,7 @@ from .segre_verlinde import (
     segre_number,
     verlinde_number,
 )
+from .series import _parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -53,10 +54,21 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
 
+    def error(self, message):  # one line, like every other input error
+        self.exit(EXIT_INPUT_ERROR, f"error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        # Python 3.11 drops a lone "--" value ("--alpha=--") and would hand
+        # the command an empty list instead of a parsed value
+        if action.nargs is None and arg_strings == ["--"]:
+            name = "/".join(action.option_strings) or action.dest
+            self.error(f"argument {name}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _parse_fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
@@ -101,7 +113,10 @@ def _emit(doc: dict, fmt: str) -> None:
 
 def _load_input(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        doc = json.load(handle)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: the input must be a JSON object")
+    return doc
 
 
 # -- single-point commands ----------------------------------------------------
@@ -168,9 +183,10 @@ def _cmd_dim2(args) -> int:
 
 def _vectors_from_input(path: str):
     obj = _load_input(path)
-    v = mukai_vector_from_json(obj["v"])
-    xs = [mukai_vector_from_json(item) for item in obj.get("xs", [])]
-    return v, xs
+    xs = obj.get("xs", [])
+    if not isinstance(xs, list):
+        raise ValueError("xs must be a list of Mukai vector objects")
+    return mukai_vector_from_json(obj["v"]), [mukai_vector_from_json(item) for item in xs]
 
 
 def _cmd_fingerprint(args) -> int:

@@ -10,21 +10,21 @@ needs its own coordinates.  The distinguished H^2 model is the even
 unimodular lattice of signature (3, 19): three hyperbolic planes plus two
 copies of the E8 lattice with the form negated.
 
-All rank, kernel and inversion computations are exact over the rationals;
-the rank routine is fraction-free (Bareiss) on denominator-cleared rows,
-since degenerate versus non-degenerate is a discrete distinction that
-floating point would corrupt.
+All of it is exact, on integers: pairings are dot products over the sparse
+Gram rows (at most four nonzeros per K3 row), and ranks, kernels, inverses,
+bases and solves share one fraction-free elimination, since degenerate versus
+non-degenerate is a discrete distinction that floating point would corrupt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .series import _frac
+from .series import _frac, _integer_coeffs, _json_number
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -62,6 +62,9 @@ class QuadraticSpace:
     """A rational quadratic space given by a symmetric Gram matrix."""
 
     gram: Matrix
+    # the nonzero (j, numerator) entries of each Gram row over one common
+    # denominator, and that denominator; derived, so not in ==, hash or repr
+    _sparse: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gram = _matrix(self.gram)
@@ -73,24 +76,18 @@ class QuadraticSpace:
             for j in range(i):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        nums, den = _integer_coeffs([x for row in gram for x in row])
+        rows = tuple(tuple((j, g) for j, g in enumerate(nums[i * n:(i + 1) * n]) if g)
+                     for i in range(n))
+        object.__setattr__(self, "_sparse", (rows, den))
 
     @property
     def dim(self) -> int:
         return len(self.gram)
 
     def dot(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        """The inner product a.G.b, skipping zero entries."""
-        total = Fraction(0)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            row = self.gram[i]
-            acc = Fraction(0)
-            for j, bj in enumerate(b):
-                if bj != 0 and row[j] != 0:
-                    acc += row[j] * bj
-            total += ai * acc
-        return total
+        """The inner product a.G.b."""
+        return _pairings(self, [(0, *a, 0)], [(0, *b, 0)])[0][0]
 
 
 def hyperbolic_plane() -> QuadraticSpace:
@@ -152,11 +149,7 @@ class MukaiVector:
     def pair(self, other: "MukaiVector") -> Fraction:
         if self.space != other.space:
             raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
-        return (
-            self.space.dot(self.c1, other.c1)
-            - self.rank * other.v2
-            - other.rank * self.v2
-        )
+        return _pairings(self.space, [self.coords], [other.coords])[0][0]
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -222,48 +215,58 @@ def mukai_vector_from_chern(
     return MukaiVector(space, rank, c1, v2)
 
 
+def _forms(rows) -> list[tuple[list[int], int]]:
+    """Each coordinate row as integer numerators over its least denominator."""
+    return [_integer_coeffs(row) for row in rows]
+
+
+def _duals(space: QuadraticSpace, forms) -> list[tuple]:
+    """(rank, G.c1, v2, denominator) per form; G = G^T, so G.c1 sums rows of c1's support."""
+    rows, _ = space._sparse
+    duals = []
+    for nums, d in forms:
+        g_c1 = [0] * space.dim
+        for j, c in enumerate(nums[1:-1]):
+            for i, g in rows[j] if c else ():
+                g_c1[i] += g * c
+        duals.append((nums[0], g_c1, nums[-1], d))
+    return duals
+
+
+def _pair_forms(space: QuadraticSpace, forms, duals) -> list[list[Fraction]]:
+    """Pairings as integer dot products over each form's support, one Fraction each."""
+    _, den = space._sparse
+    table = []
+    for nums, d in forms:
+        r, n = nums[0], nums[-1]
+        support = [(i, a) for i, a in enumerate(nums[1:-1]) if a]
+        table.append([
+            Fraction(sum(a * gy[i] for i, a in support) - den * (r * yn + yr * n), den * d * yd)
+            for yr, gy, yn, yd in duals
+        ])
+    return table
+
+
+def _pairings(space: QuadraticSpace, xs, ys) -> list[list[Fraction]]:
+    """The pairings <x, y> of coordinate rows, each converted to integers once."""
+    x_forms = _forms(xs)
+    y_forms = x_forms if ys is xs else _forms(ys)
+    return _pair_forms(space, x_forms, _duals(space, y_forms))
+
+
 def gram_matrix(xs: Sequence[MukaiVector]) -> Matrix:
     """The symmetric matrix of pairwise pairings; () for an empty list."""
-    pairs = [[None] * len(xs) for _ in xs]
-    for i, x in enumerate(xs):
-        for j in range(i, len(xs)):
-            value = x.pair(xs[j])
-            pairs[i][j] = value
-            pairs[j][i] = value
-    return tuple(tuple(row) for row in pairs)
+    if not xs:
+        return ()
+    if any(x.space != xs[0].space for x in xs):
+        raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
+    coords = [x.coords for x in xs]
+    return tuple(map(tuple, _pairings(xs[0].space, coords, coords)))
 
 
 def gram_rank(matrix) -> int:
-    """Exact rank over the rationals, by fraction-free elimination.
-
-    Rows are cleared of denominators (a rank-preserving scaling) and then
-    reduced by the Bareiss one-step scheme, whose divisions are exact.
-    """
-    rows = [list(row) for row in matrix]
-    if not rows or not rows[0]:
-        return 0
-    int_rows = []
-    for row in rows:
-        scale = lcm(*(_frac(x).denominator for x in row))
-        int_rows.append([int(_frac(x) * scale) for x in row])
-    n_rows, n_cols = len(int_rows), len(int_rows[0])
-    m = int_rows
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot = next((i for i in range(rank, n_rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for i in range(rank + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (m[i][j] * m[rank][col] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    """Exact rank over the rationals, by fraction-free elimination."""
+    return len(_eliminate(_integer_rows(matrix), reduce=False))
 
 
 def span_dim(xs: Sequence[MukaiVector]) -> int:
@@ -294,45 +297,61 @@ def fingerprint(v: MukaiVector, xs: Sequence[MukaiVector]) -> FingerprintMatrix:
     return FingerprintMatrix(gram_matrix([v, *xs]))
 
 
-# -- exact elimination over the rationals ----------------------------------
+# -- exact elimination on integers ------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with deterministic first-nonzero pivoting."""
-    m = [list(row) for row in rows]
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
+def _integer_rows(rows) -> list[list[int]]:
+    """Each row times the lcm of its denominators: the row space is kept."""
+    return [_integer_coeffs([_frac(x) for x in row])[0] for row in rows]
+
+
+def _eliminate(rows: list[list[int]], reduce: bool = True) -> list[int]:
+    """Fraction-free elimination of integer rows, in place; the pivot columns.
+
+    A column's pivot is its first nonzero entry at or below the current
+    row.  Every other row (every row below, if not `reduce`) with a nonzero
+    entry f there becomes p*row - f*pivot_row and is divided by its content
+    (the gcd of its entries), so entries stay small and no Fraction is
+    built.  The first len(pivots) rows then hold an echelon form; with
+    `reduce`, row r divided by rows[r][pivots[r]] is row r of the reduced
+    row echelon form, which is unique.
+    """
+    n_rows = len(rows)
     pivots: list[int] = []
-    r = 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         if r == n_rows:
             break
-    return m, pivots
+        pivot = next((i for i in range(r, n_rows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        prow = rows[r]
+        p = prow[col]
+        for i in range(0 if reduce else r + 1, n_rows):
+            f = rows[i][col]
+            if f and i != r:
+                row = [p * a - f * b for a, b in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
+        pivots.append(col)
+    return pivots
+
+
+def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and pivot columns of a rational matrix."""
+    m = _integer_rows(rows)
+    pivots = _eliminate(m)
+    reduced = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(m, pivots)]
+    return reduced + [[Fraction(0)] * len(row) for row in m[len(pivots):]], pivots
 
 
 def _kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
     """Basis of the right kernel, ordered by free column index."""
-    rows = [list(map(_frac, row)) for row in matrix]
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    rref, pivots = _rref(rows)
-    free = [c for c in range(n_cols) if c not in pivots]
+    rref, pivots = _rref(matrix)
+    n_cols = len(matrix[0]) if matrix else 0
     basis = []
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         vec = [Fraction(0)] * n_cols
         vec[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
@@ -341,59 +360,34 @@ def _kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, 
     return basis
 
 
-def _solve_columns(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Solve sum_j c_j * columns[j] = target, or None if inconsistent."""
-    height = len(target)
-    aug = [
-        [_frac(col[i]) for col in columns] + [_frac(target[i])]
-        for i in range(height)
-    ]
-    rref, pivots = _rref(aug)
-    n_cols = len(columns)
-    if n_cols in pivots:
-        return None
-    solution = [Fraction(0)] * n_cols
-    for r, pc in enumerate(pivots):
-        solution[pc] = rref[r][n_cols]
-    return solution
-
-
 def _invert(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
     n = len(matrix)
-    aug = [list(map(_frac, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    rref, pivots = _rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in rref]
+    rref, pivots = _rref([[*row, *(int(i == j) for j in range(n))]
+                          for i, row in enumerate(matrix)])
+    return [row[n:] for row in rref] if pivots == list(range(n)) else None
 
 
-def _greedy_basis_indices(coord_rows: Sequence[Sequence[Fraction]]) -> list[int]:
-    """Indices of a maximal independent sublist, scanning left to right."""
-    picked: list[int] = []
-    rref_rows: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for idx, row in enumerate(coord_rows):
-        residue = list(map(_frac, row))
-        for rrow, pc in zip(rref_rows, pivots):
-            if residue[pc] != 0:
-                factor = residue[pc]
-                residue = [a - factor * b for a, b in zip(residue, rrow)]
-        pivot = next((c for c, x in enumerate(residue) if x != 0), None)
-        if pivot is None:
-            continue
-        inv = 1 / residue[pivot]
-        residue = [x * inv for x in residue]
-        for i, (rrow, pc) in enumerate(zip(rref_rows, pivots)):
-            if rrow[pivot] != 0:
-                factor = rrow[pivot]
-                rref_rows[i] = [a - factor * b for a, b in zip(rrow, residue)]
-        rref_rows.append(residue)
-        pivots.append(pivot)
-        picked.append(idx)
-    return picked
+def _greedy_basis_indices(forms) -> list[int]:
+    """Indices of a maximal independent sublist of the forms, left to right.
+
+    These are the pivot columns of the matrix whose columns are the forms:
+    column j is a pivot exactly when it is outside the span of the columns
+    before it.  Scaling a column by its denominator keeps the pivots.
+    """
+    return _eliminate([list(r) for r in zip(*(nums for nums, _ in forms)) if any(r)],
+                      reduce=False)
+
+
+def _combine(coeffs: Sequence[Fraction], forms, length: int) -> list[Fraction]:
+    """The coordinates of sum_b coeffs[b] * forms[b], on integer numerators."""
+    cn, cd = _integer_coeffs(coeffs)
+    den = lcm(*(d for _, d in forms))
+    total = [0] * length
+    for c, (nums, d) in zip(cn, forms):
+        if c:
+            scale = c * (den // d)
+            total = [t + scale * a for t, a in zip(total, nums)]
+    return [Fraction(t, cd * den) for t in total]
 
 
 # -- the non-degenerate-span reduction --------------------------------------
@@ -412,33 +406,34 @@ def nondegenerate_reduction(
     """
     if v.pair(v) < 2:
         raise DegenerateMukaiVector(f"need v.v >= 2, got {v.pair(v)}")
+    space = v.space
     ys = list(xs)
-    for y in ys:
-        if y.space != v.space:
-            raise SpaceMismatch("all vectors must live in one quadratic space")
-    for _ in range(v.space.dim + 3):
-        vecs = [v, *ys]
-        basis_idx = _greedy_basis_indices([w.coords for w in vecs])
-        basis = [vecs[i] for i in basis_idx]
-        kernel = _kernel_basis(gram_matrix(basis))
+    if any(y.space != space for y in ys):
+        raise SpaceMismatch("all vectors must live in one quadratic space")
+    for _ in range(space.dim + 3):
+        forms = _forms([v.coords, *(y.coords for y in ys)])
+        basis = [forms[i] for i in _greedy_basis_indices(forms)]
+        kernel = _kernel_basis(_pair_forms(space, basis, _duals(space, basis)))
         if not kernel:
             return ys
-        coeffs = kernel[0]
-        w = basis[0] * coeffs[0]
-        for c, b in zip(coeffs[1:], basis[1:]):
-            w = w + b * c
-        # extend {w, v} to a basis of the span; w is nonzero and v is not
-        # proportional to it because v.v >= 2 while w pairs to zero with v
-        extended = [w, v, *basis]
-        ext_idx = _greedy_basis_indices([u.coords for u in extended])
-        assert ext_idx[:2] == [0, 1]
-        new_basis = [extended[i] for i in ext_idx]
-        columns = [u.coords for u in new_basis]
+        w = _combine(kernel[0], basis, space.dim + 2)
+        # one elimination on the columns (w, v, basis, ys): its pivots extend
+        # {w, v} to a basis of the span (w != 0, and v.v >= 2 while w.v = 0),
+        # and its first row holds the w-coordinate of each y in that basis
+        columns = [_integer_coeffs(w), *forms[:1], *basis, *forms[1:]]
+        rows = [list(r) for r in zip(*(nums for nums, _ in columns)) if any(r)]
+        pivots = _eliminate(rows)
+        first_y = 2 + len(basis)
+        if pivots[:2] != [0, 1]:
+            raise LatticeError("w and v do not start a basis of the span")
+        if pivots[-1] >= first_y:
+            raise LatticeError("an x_i lies outside the span of the reduction basis")
+        top, d_w = rows[0], columns[0][1]
         reduced = []
-        for x in ys:
-            sol = _solve_columns(columns, x.coords)
-            assert sol is not None
-            reduced.append(x - sol[0] * w)
+        for col, y in enumerate(ys, first_y):
+            c = Fraction(top[col] * d_w, top[0] * columns[col][1])
+            coords = [a - c * b if b else a for a, b in zip(y.coords, w)]
+            reduced.append(MukaiVector.from_coords(space, coords) if c else y)
         ys = reduced
     raise AssertionError("span dimension failed to drop; this cannot happen")
 
@@ -453,29 +448,38 @@ class SpanIsometry:
     basis: tuple[MukaiVector, ...]
     images: tuple[MukaiVector, ...]
     gram_inverse: Matrix
+    # integer forms, built once; derived, so not in ==, hash or repr
+    _dual_forms: list = field(init=False, repr=False, compare=False)
+    _inverse_forms: list = field(init=False, repr=False, compare=False)
+    _basis_forms: list = field(init=False, repr=False, compare=False)
+    _image_forms: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        basis = _forms(b.coords for b in self.basis)
+        duals = _duals(self.basis[0].space, basis) if basis else []
+        object.__setattr__(self, "_dual_forms", duals)
+        object.__setattr__(self, "_inverse_forms", _forms(self.gram_inverse))
+        object.__setattr__(self, "_basis_forms", basis)
+        object.__setattr__(self, "_image_forms", _forms(w.coords for w in self.images))
 
     def coordinates(self, x: MukaiVector) -> list[Fraction]:
         """Coordinates of x in the source basis, via pairings.
 
         In a non-degenerate span, x = sum_ab <x, v_a> (G^-1)_ab v_b.
         """
-        pairings = [x.pair(b) for b in self.basis]
-        return [
-            sum((pairings[a] * self.gram_inverse[a][b] for a in range(len(self.basis))),
-                Fraction(0))
-            for b in range(len(self.basis))
-        ]
+        if any(b.space != x.space for b in self.basis):
+            raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
+        pairings = _pair_forms(x.space, _forms([x.coords]), self._dual_forms)[0]
+        return _combine(pairings, self._inverse_forms, len(self.basis))
 
     def apply(self, x: MukaiVector) -> MukaiVector:
         coords = self.coordinates(x)
-        rebuilt = x * 0
-        image = x * 0
-        for c, b, w in zip(coords, self.basis, self.images):
-            rebuilt = rebuilt + c * b
-            image = image + c * w
-        if rebuilt != x:
+        length = x.space.dim + 2
+        if _combine(coords, self._basis_forms, length) != list(x.coords):
             raise NotInSpan("vector is not in the source span")
-        return image
+        if any(w.space != x.space for w in self.images):
+            raise SpaceMismatch("cannot add vectors from different quadratic spaces")
+        return MukaiVector.from_coords(x.space, _combine(coords, self._image_forms, length))
 
 
 def span_isometry(
@@ -490,24 +494,24 @@ def span_isometry(
     """
     if len(vs) != len(ws):
         raise GramMismatch("vector lists must have the same length")
-    for x in [*vs, *ws]:
-        if vs and x.space != vs[0].space:
-            raise SpaceMismatch("all vectors must live in one quadratic space")
+    if any(x.space != vs[0].space for x in [*vs, *ws]):
+        raise SpaceMismatch("all vectors must live in one quadratic space")
     gv = gram_matrix(vs)
     gw = gram_matrix(ws)
     if gv != gw:
         raise GramMismatch("the two lists have different Gram matrices")
     rank = gram_rank(gv)
-    if rank != span_dim(vs) or rank != span_dim(ws):
+    basis_idx = _greedy_basis_indices(_forms(x.coords for x in vs))
+    if rank != len(basis_idx) or rank != span_dim(ws):
         raise DegenerateSpan("both spans must be non-degenerate")
-    basis_idx = _greedy_basis_indices([x.coords for x in vs])
-    basis = tuple(vs[i] for i in basis_idx)
-    images = tuple(ws[i] for i in basis_idx)
-    gram_inv = _invert(gram_matrix(basis)) if basis else []
-    assert gram_inv is not None
-    iso = SpanIsometry(basis, images, _matrix(gram_inv))
+    # rank(gv) = len(basis_idx) makes the basis Gram submatrix invertible
+    gram_inv = _invert([[gv[i][j] for j in basis_idx] for i in basis_idx])
+    iso = SpanIsometry(
+        tuple(vs[i] for i in basis_idx), tuple(ws[i] for i in basis_idx), _matrix(gram_inv)
+    )
     for x, w in zip(vs, ws):
-        assert iso.apply(x) == w
+        if iso.apply(x) != w:
+            raise GramMismatch("the span isometry does not map each v_i to w_i")
     return iso
 
 
@@ -527,16 +531,17 @@ def mukai_vector_to_json(v: MukaiVector) -> dict:
 
 
 def mukai_vector_from_json(obj: dict) -> MukaiVector:
+    if not isinstance(obj, dict) or not isinstance(obj.get("c1"), list):
+        raise ValueError("a Mukai vector must be a JSON object with a list c1")
     space_spec = obj["space"]
     if space_spec == "k3":
         space = k3_lattice()
     else:
-        space = QuadraticSpace(_matrix(
-            [[Fraction(x) for x in row] for row in space_spec["gram"]]
-        ))
+        space = QuadraticSpace([[_json_number(x, "gram entry") for x in row]
+                                for row in space_spec["gram"]])
     return MukaiVector(
         space,
-        Fraction(obj["rank"]),
-        tuple(Fraction(x) for x in obj["c1"]),
-        Fraction(obj["v2"]),
+        _json_number(obj["rank"], "rank"),
+        tuple(_json_number(x, "c1 entry") for x in obj["c1"]),
+        _json_number(obj["v2"], "v2"),
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .segre_verlinde import SegreParams, segre_number
-from .series import _frac
+from .series import _frac, _json_number
 
 
 class DimensionMismatch(ValueError):
@@ -216,12 +216,7 @@ def k_class_to_json(k: KClassInvariants) -> dict:
 
 
 def k_class_from_json(obj: dict) -> KClassInvariants:
-    return KClassInvariants(
-        rank=Fraction(obj["rank"]),
-        c1sq=Fraction(obj["c1sq"]),
-        c1L=Fraction(obj["c1L"]),
-        v2=Fraction(obj["v2"]),
-    )
+    return KClassInvariants(**{k: _json_number(obj[k], k) for k in ("rank", "c1sq", "c1L", "v2")})
 
 
 def moduli_data_to_json(m: ModuliData) -> dict:
@@ -236,11 +231,11 @@ def moduli_data_to_json(m: ModuliData) -> dict:
 
 def moduli_data_from_json(obj: dict) -> ModuliData:
     return ModuliData(
-        rho=int(obj["rho"]),
-        n=int(obj["n"]),
+        rho=int(_json_number(obj["rho"], "rho", integer=True)),
+        n=int(_json_number(obj["n"], "n", integer=True)),
         alpha=k_class_from_json(obj["alpha"]),
-        Lsq=Fraction(obj["Lsq"]),
-        u=Fraction(obj["u"]),
+        Lsq=_json_number(obj["Lsq"], "Lsq"),
+        u=_json_number(obj["u"], "u"),
     )
 
 
@@ -256,9 +251,9 @@ def reduction_target_to_json(t: ReductionTarget) -> dict:
 
 def reduction_target_from_json(obj: dict) -> ReductionTarget:
     return ReductionTarget(
-        n=int(obj["n"]),
+        n=int(_json_number(obj["n"], "n", integer=True)),
         beta=k_class_from_json(obj["beta"]),
-        Lsq=Fraction(obj["Lsq"]),
-        u_prime=Fraction(obj["u_prime"]),
+        Lsq=_json_number(obj["Lsq"], "Lsq"),
+        u_prime=_json_number(obj["u_prime"], "u_prime"),
         warnings=tuple(obj.get("warnings", ())),
     )

@@ -14,6 +14,7 @@ tests, its reversion route is their independent oracle.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -51,6 +52,27 @@ class OrderExceeded(SeriesError):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+# no exponent forms: Fraction("1e999999999") would build a billion-digit integer
+_RATIONAL_TEXT = re.compile(r"\s*[-+]?(\d+(/\d+)?|\d*\.\d+)\s*")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """An exact number from text such as "3", "-3/4" or "0.25"."""
+    if not _RATIONAL_TEXT.fullmatch(text):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text)
+
+
+def _json_number(value, name: str, integer: bool = False) -> Fraction:
+    """An exact number from JSON: an int (not a bool) or a rational string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{name} must be an integer or a rational string, got {value!r}")
+    x = _parse_rational(value) if isinstance(value, str) else Fraction(value)
+    if integer and x.denominator != 1:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return x
 
 
 def _integer_coeffs(coeffs) -> tuple[list[int], int]:

@@ -101,3 +101,66 @@ def gauss_det(rows) -> Fraction:
                 for j in range(col, n):
                     m[i][j] -= factor * m[col][j]
     return det
+
+
+def fraction_rref(rows):
+    """Reduced row echelon form and pivot columns by plain Fraction
+    Gauss-Jordan elimination, with first-nonzero pivoting."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return m, []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, n_rows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def fraction_kernel_basis(rows):
+    """Right kernel basis read off `fraction_rref`, by free column index."""
+    if not rows:
+        return []
+    n_cols = len(rows[0])
+    rref, pivots = fraction_rref(rows)
+    basis = []
+    for fc in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rref[r][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def fraction_inverse(rows):
+    """The inverse by `fraction_rref` of [A | I], or None if A is singular."""
+    n = len(rows)
+    rref, pivots = fraction_rref([list(row) + [int(i == j) for j in range(n)]
+                                  for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in rref]
+
+
+def greedy_by_rank(rows):
+    """Indices of a maximal independent sublist: keep row i when it raises
+    the `fraction_rref` rank of the rows kept so far."""
+    picked = []
+    for i, row in enumerate(rows):
+        if len(fraction_rref([rows[j] for j in picked] + [row])[1]) > len(picked):
+            picked.append(i)
+    return picked

@@ -217,6 +217,82 @@ def test_fingerprint_input_scalar_c1_is_input_error(capsys, tmp_path):
     _input_error(capsys, tmp_path, "fingerprint", {"v": v, "xs": []})
 
 
+def _moduli_payload(**changes):
+    payload = {
+        "rho": 2, "n": 2, "alpha": {"rank": "1", "c1sq": "4", "c1L": "0", "v2": "1"},
+        "Lsq": "0", "u": "0",
+    }
+    payload.update(changes)
+    return payload
+
+
+def _vector_payload(rank="1"):
+    return {"rank": rank, "c1": ["0"] * 22, "v2": "-2", "space": "k3"}
+
+
+def test_reduce_input_float_rho_is_input_error(capsys, tmp_path):
+    # int(2.7) would silently run as rho = 2
+    _input_error(capsys, tmp_path, "reduce", _moduli_payload(rho=2.7))
+
+
+def test_reduce_input_rational_string_rho_is_input_error(capsys, tmp_path):
+    _input_error(capsys, tmp_path, "reduce", _moduli_payload(rho="5/2"))
+
+
+def test_fingerprint_input_float_rank_is_input_error(capsys, tmp_path):
+    # Fraction(0.1) would print 3602879701896397/18014398509481984
+    _input_error(capsys, tmp_path, "fingerprint", {"v": _vector_payload(rank=0.1), "xs": []})
+
+
+def test_fingerprint_input_bool_rank_is_input_error(capsys, tmp_path):
+    # True would be read as 1
+    _input_error(capsys, tmp_path, "fingerprint", {"v": _vector_payload(rank=True), "xs": []})
+
+
+def test_fingerprint_input_xs_object_is_input_error(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"v": _vector_payload(), "xs": {"a": 1}}))
+    code, out, err = run_cli(capsys, "fingerprint", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: xs must be a list of Mukai vector objects\n"
+
+
+def test_exponent_strings_are_input_errors(capsys, tmp_path):
+    # Fraction("1e999999999") would build a billion-digit integer first
+    big, tiny = "1e999999999", "1e-999999999"
+    _input_error(capsys, tmp_path, "fingerprint", {"v": _vector_payload(rank=big), "xs": []})
+    _input_error(capsys, tmp_path, "reduce", _moduli_payload(u=tiny))
+    for argv in (["reduce", "--rho", "2", "--alpha", f"1,0,0,{big}"],
+                 ["reduce", "--rho", "2", "--alpha", "1,0,0,1", "--u", tiny],
+                 ["segre", "--rho", "1", "--s", big, "--c2", "3", "--c1sq", "0", "--n", "2"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_json_integers_and_rational_strings_are_accepted(capsys, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_moduli_payload(rho="2", n=2, Lsq=3, u="-1/2")))
+    code, doc, _ = run_json(capsys, "reduce", "--input", str(path))
+    assert code == 0 and doc["u_prime"] == "-1"
+    path.write_text(json.dumps({"v": _vector_payload(rank=2), "xs": [_vector_payload("1/3")]}))
+    code, doc, _ = run_json(capsys, "fingerprint", "--input", str(path))
+    assert code == 0 and doc["fingerprint"] == [["8", "14/3"], ["14/3", "4/3"]]
+
+
+def test_argument_errors_are_one_line(capsys):
+    code, out, err = run_cli(capsys, "sweep", "check-sv", "--rho", "1:2:3:4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_lone_double_dash_value_is_input_error(capsys):
+    # Python 3.11's argparse turns "--alpha=--" into an empty list
+    code, out, err = run_cli(capsys, "reduce", "--rho", "2", "--alpha=--")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_numbers_have_no_order_flag(capsys):
     code, out, _ = run_cli(
         capsys, "segre", "--rho", "1", "--s", "1", "--c2", "3", "--c1sq", "0", "--n", "2",

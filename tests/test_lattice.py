@@ -1,11 +1,23 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import gauss_det, gauss_rank
+from helpers import (
+    fraction_inverse,
+    fraction_kernel_basis,
+    fraction_rref,
+    gauss_det,
+    gauss_rank,
+    greedy_by_rank,
+)
 from k3mukai.lattice import (
     DegenerateMukaiVector,
     DegenerateSpan,
@@ -15,6 +27,11 @@ from k3mukai.lattice import (
     NotInSpan,
     QuadraticSpace,
     SpaceMismatch,
+    _forms,
+    _greedy_basis_indices,
+    _invert,
+    _kernel_basis,
+    _rref,
     e8_gram,
     fingerprint,
     gram_matrix,
@@ -215,6 +232,88 @@ def test_rank_equals_span_dim_on_nondegenerate():
             c1[idx] = rng.randrange(1, 3)
             xs.append(mv(K3, 0, c1, 0))
         assert gram_rank(gram_matrix(xs)) == span_dim(xs)
+
+
+# -- the integer elimination kernel against the Fraction oracle ----------------
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices of any shape from 0 x 0 to 6 x 6, with zero rows and
+    columns planted and, sometimes, a row that repeats a combination of two
+    others (so the matrix is singular)."""
+    n_rows = draw(st.integers(min_value=0, max_value=6))
+    n_cols = n_rows if square else draw(st.integers(min_value=0, max_value=6))
+    entry = st.one_of(st.just(F(0)), fraction_entries)
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for i in draw(st.sets(st.integers(0, 5), max_size=2)) & set(range(n_rows)):
+        rows[i] = [F(0)] * n_cols
+    for j in draw(st.sets(st.integers(0, 5), max_size=2)) & set(range(n_cols)):
+        for row in rows:
+            row[j] = F(0)
+    if n_rows >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
+
+
+@given(rational_matrices())
+def test_integer_kernel_matches_fraction_oracle(rows):
+    assert _rref(rows) == fraction_rref(rows)
+    assert _kernel_basis(rows) == fraction_kernel_basis(rows)
+    assert gram_rank(rows) == len(fraction_rref(rows)[1])
+
+
+@given(rational_matrices(square=True))
+def test_integer_inverse_matches_fraction_oracle(rows):
+    assert _invert(rows) == fraction_inverse(rows)
+
+
+@given(rational_matrices())
+def test_greedy_basis_matches_left_to_right_oracle_scan(rows):
+    assert _greedy_basis_indices(_forms(rows)) == greedy_by_rank(rows)
+
+
+def test_lattice_checks_survive_python_optimize():
+    # Each check is broken on purpose by a patched helper; under -O an
+    # assert would vanish, an explicit raise must not.
+    script = textwrap.dedent("""
+        import sys
+        from k3mukai import lattice as L
+        assert not __debug__ and sys.flags.optimize
+        K3 = L.k3_lattice()
+        v = L.hilbert_scheme_vector(K3, 3)
+        f = L.MukaiVector(K3, 0, [0, 0, 1] + [0] * 19, 0)  # radical class
+        x = L.MukaiVector(K3, 0, [0] * 6 + [1] + [0] * 15, 0)
+        raised = []
+        def attempt(call):
+            try:
+                call()
+            except L.LatticeError as exc:
+                raised.append(str(exc))
+            else:
+                raised.append(None)
+        greedy, combine = L._greedy_basis_indices, L._combine
+        L._combine = lambda coeffs, forms, length: [0] * length  # w = 0
+        attempt(lambda: L.nondegenerate_reduction(v, [f, x]))
+        L._combine = combine
+        L._greedy_basis_indices = lambda forms: greedy(forms)[:-1]  # basis misses x
+        attempt(lambda: L.nondegenerate_reduction(v, [f, x]))
+        L._greedy_basis_indices = greedy
+        L.SpanIsometry.apply = lambda self, y: y + y  # maps v_i wrongly
+        attempt(lambda: L.span_isometry([v], [v]))
+        print(raised)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip() == str([
+        "w and v do not start a basis of the span",
+        "an x_i lies outside the span of the reduction basis",
+        "the span isometry does not map each v_i to w_i",
+    ])
 
 
 # -- fingerprint ---------------------------------------------------------------
