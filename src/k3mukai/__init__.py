@@ -40,11 +40,8 @@ from .segre_verlinde import (
     CorrespondenceReport,
     SegreParams,
     VerlindeParams,
-    build_fg,
-    build_vwx,
     check_correspondence,
     segre_number,
-    segre_variable_change,
     verlinde_number,
 )
 from .series import Rational, TruncatedSeries, constant, identity
@@ -64,8 +61,6 @@ __all__ = [
     "SegreParams",
     "TruncatedSeries",
     "VerlindeParams",
-    "build_fg",
-    "build_vwx",
     "check_correspondence",
     "constant",
     "dependence_pairings",
@@ -85,7 +80,6 @@ __all__ = [
     "reduce_to_hilbert",
     "segre_cross_check",
     "segre_number",
-    "segre_variable_change",
     "span_dim",
     "span_isometry",
     "verlinde_number",

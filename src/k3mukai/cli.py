@@ -9,7 +9,9 @@ fails, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import os
 import re
 import sys
@@ -45,6 +47,8 @@ from .series import _parse_rational
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
+# per grid and per sweep; sizes come from the range endpoints, before any expansion
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,9 +101,14 @@ def _parse_grid(text: str) -> list[int]:
                 raise argparse.ArgumentTypeError(f"bad grid component: {chunk!r}")
             if step <= 0:
                 raise argparse.ArgumentTypeError("grid step must be positive")
-            values.extend(range(lo, hi + 1, step))
         elif chunk:
-            values.append(int(chunk))
+            lo = hi = int(chunk)
+            step = 1
+        else:
+            continue
+        if len(values) + max(0, (hi - lo) // step + 1) > MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(f"a grid may have at most {MAX_GRID_POINTS} points")
+        values.extend(range(lo, hi + 1, step))
     return values
 
 
@@ -249,19 +258,12 @@ def _run_points(worker, points, jobs: int | None) -> list[dict]:
 
 def _cmd_sweep(args) -> int:
     if args.target == "check-sv":
-        points = [
-            (rho, r, args.order) for rho in args.rho for r in args.r
-        ]
-        results = _run_points(_sweep_point_check_sv, points, args.jobs)
+        worker, grids = _sweep_point_check_sv, (args.rho, args.r, [args.order])
     else:
-        points = [
-            (rho, s, c2, c1sq)
-            for rho in args.rho
-            for s in args.s
-            for c2 in args.c2
-            for c1sq in args.c1sq
-        ]
-        results = _run_points(_sweep_point_cross_check, points, args.jobs)
+        worker, grids = _sweep_point_cross_check, (args.rho, args.s, args.c2, args.c1sq)
+    if math.prod(map(len, grids)) > MAX_GRID_POINTS:
+        raise ValueError(f"a sweep may have at most {MAX_GRID_POINTS} points")
+    results = _run_points(worker, list(itertools.product(*grids)), args.jobs)
     failures = [r for r in results if not r["ok"]]
     doc = {
         "command": args.target,

@@ -29,10 +29,15 @@ correspondence under s = rho + r and nu = t (1 - (r/rho) t)^(-1):
 which check_correspondence verifies order by order in the common parameter
 t, with exact rational arithmetic throughout.
 
-Every factor is a binomial power (1 + ct)^e, so the numbers need no series
-reversion: by Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z' is
-a coefficient of another binomial product.  build_vwx, build_fg and
-segre_variable_change serve check_correspondence and the tests' oracle.
+Every factor is a binomial power (1 + ct)^e, so each series is an exponent
+map, a list of pairs (c, e).  _segre_factors and _verlinde_factors are the
+one table of these maps, copied from the formulas above.  _binomial_product
+merges the equal bases of any weighted product of maps and expands it by
+J.C.P. Miller's recurrence.  The numbers need no series reversion: by
+Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z', and for
+z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.
+check_correspondence expands both sides of each identity from the table;
+build_vwx, build_fg and segre_variable_change expand it for the tests.
 """
 
 from __future__ import annotations
@@ -40,12 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import TruncatedSeries, _frac, constant, identity
-
-
-def _unit_linear(c: Fraction, order: int) -> TruncatedSeries:
-    """The series 1 + c*t at the given order."""
-    return TruncatedSeries([1, c] + [0] * (order - 1)) if order >= 1 else constant(1, 0)
+from .series import TruncatedSeries, _frac
 
 
 @dataclass(frozen=True)
@@ -87,60 +87,50 @@ class VerlindeParams:
             raise ValueError("n must be non-negative")
 
 
-def build_vwx(rho: int, s, order: int):
-    """The three Segre factor series (V, W, X) in t, exact to `order`."""
+def _segre_factors(rho: int, s):
+    """The maps of V, W and X as in the module docstring, with b = 1 + a, and
+    the variable change z = t (1+at)^a as (a, a)."""
     if rho < 1:
         raise ValueError("rho must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be non-negative")
     s = _frac(s)
     a = 1 - s / rho
-    b = 2 - s / rho
-    base_a = _unit_linear(a, order)
-    base_b = _unit_linear(b, order)
-    base_ab = _unit_linear(a * b, order)
+    b = 1 + a
     half = Fraction(1, 2)
-    v = (
-        base_a.pow_rational(1 - s)
-        * base_b.pow_rational(s)
-        * base_a.pow_rational(rho - 1)
-    )
-    w = (
-        base_a.pow_rational(half * s - 1)
-        * base_b.pow_rational(half * (1 - s))
-        * base_a.pow_rational(half - half * rho)
-    )
-    x = (
-        base_a.pow_rational(half * s * s - s)
-        * base_b.pow_rational(-half * s * s + half)
-        * base_ab.pow_rational(-half)
-        * base_a.pow_rational(-((rho - 1) ** 2) * s / (2 * rho))
-    )
-    return v, w, x
+    v = [(a, 1 - s), (b, s), (a, rho - 1)]
+    w = [(a, half * s - 1), (b, half * (1 - s)), (a, half * (1 - rho))]
+    x = [
+        (a, half * s * s - s),
+        (b, half * (1 - s * s)),
+        (a * b, -half),
+        (a, -((rho - 1) ** 2) * s / (2 * rho)),
+    ]
+    return v, w, x, (a, a)
 
 
-def segre_variable_change(rho: int, s, order: int) -> TruncatedSeries:
-    """t as a series in z, inverting z = t (1 + (1-s/rho) t)^(1-s/rho)."""
+def _verlinde_factors(rho: int, r: int):
+    """The maps of F and G, and the variable change w = nu (1+nu)^(q-1) as (1, q-1)."""
     if rho < 1:
         raise ValueError("rho must be a positive integer")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    a = 1 - _frac(s) / rho
-    z_of_t = identity(order) * _unit_linear(a, order).pow_rational(a)
-    return z_of_t.revert()
+    q = Fraction(r * r, rho * rho)
+    return [(1, q), (q, -1)], [(1, 1)], (1, q - 1)
 
 
-def _binomial_product(factors: dict, n: int) -> list[Fraction]:
-    """Coefficients t^0..t^n of prod (1 + c t)^e over the factors {c: e}.
+def _binomial_product(weighted, n: int) -> list[Fraction]:
+    """Coefficients t^0..t^n of prod M^k over the weighted maps (k, M).
 
-    The logarithmic derivative P'/P = sum e c / (1 + c t) gives Q P' = R P
-    with polynomials Q = prod (1 + c t), R = Q sum e c / (1 + c t); at t^m
-    this is J.C.P. Miller's recurrence, O(#factors) steps per coefficient:
+    Equal bases are merged first, so the product is prod (1 + c t)^e over
+    the merged map {c: e}; bases with c = 0 or e = 0 are the constant 1 and
+    drop out.  The logarithmic derivative P'/P = sum e c / (1 + c t) gives
+    Q P' = R P with polynomials Q = prod (1 + c t), R = Q sum e c / (1 + c t);
+    at t^m this is J.C.P. Miller's recurrence, O(#bases) steps per coefficient:
         (m+1) p_(m+1) = sum_j r_j p_(m-j) - sum_(j>=1) q_j (m+1-j) p_(m+1-j).
-    Factors with c = 0 or e = 0 are the constant 1 and drop out.
     """
+    merged: dict = {}
+    for k, factors in weighted:
+        for c, e in factors:
+            merged[c] = merged.get(c, 0) + e * k
     q, r = [Fraction(1)], [Fraction(0)]
-    for c, e in factors.items():
+    for c, e in merged.items():
         if c and e:
             r = [x + c * y + e * c * z for x, y, z in zip(r + [0], [0] + r, q + [0])]
             q = [x + c * y for x, y in zip(q + [0], [0] + q)]
@@ -152,48 +142,64 @@ def _binomial_product(factors: dict, n: int) -> list[Fraction]:
     return p
 
 
+def _lagrange_buermann(weighted, change, n: int) -> Fraction:
+    """[z^n] H(t(z)) for H the product of the weighted maps, z = t (1+ct)^e.
+
+    [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z' with change = (c, e), and
+    (t/z)^(n+1) z' = (1+ct)^(-en-1) (1+c(1+e)t) is one more map.
+    """
+    c, e = change
+    return _binomial_product([*weighted, (1, [(c, -e * n - 1), (c * (1 + e), 1)])], n)[n]
+
+
+def _series(weighted, order: int) -> TruncatedSeries:
+    """The product of the weighted maps, exact to `order`."""
+    if order < 0:
+        raise ValueError("order must be non-negative")
+    return TruncatedSeries(_binomial_product(weighted, order))
+
+
+def _change_series(change, order: int) -> TruncatedSeries:
+    """z = t (1+ct)^e exact to `order`, for change = (c, e)."""
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return TruncatedSeries([0, *_binomial_product([(1, [change])], order - 1)])
+
+
+def build_vwx(rho: int, s, order: int):
+    """The three Segre factor series (V, W, X) in t, exact to `order`."""
+    return tuple(_series([(1, m)], order) for m in _segre_factors(rho, s)[:3])
+
+
+def segre_variable_change(rho: int, s, order: int) -> TruncatedSeries:
+    """t as a series in z, inverting z = t (1 + (1-s/rho) t)^(1-s/rho)."""
+    return _change_series(_segre_factors(rho, s)[3], order).revert()
+
+
 def segre_number(params: SegreParams) -> Fraction:
     """[z^n] of V^c2 * W^c1sq * X^2 with z = t (1+at)^a, by Lagrange-Buermann.
 
-    [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z', and since b = 1 + a,
-    (t/z)^(n+1) z' = (1+at)^(-an-1) (1+abt) cancels the (1+abt)^(-1) of
-    X^2: the integrand is a product of powers of 1+at and 1+bt.
+    The factor (t/z)^(n+1) z' brings (1+abt)^1, which cancels the
+    (1+abt)^(-1) of X^2 when the bases are merged.
     """
-    rho, s, c2, c1sq, n = params.rho, params.s, params.c2, params.c1sq, params.n
-    a = 1 - s / rho
-    e_a = (
-        c2 * (rho - s)
-        + c1sq * (s - rho - 1) / 2
-        + s * s - 2 * s - (rho - 1) ** 2 * s / rho
-    )
-    e_b = c2 * s + c1sq * (1 - s) / 2 + 1 - s * s
-    return _binomial_product({a: e_a - a * n - 1, 1 + a: e_b}, n)[n]
+    v, w, x, change = _segre_factors(params.rho, params.s)
+    return _lagrange_buermann([(params.c2, v), (params.c1sq, w), (2, x)], change, params.n)
 
 
 def build_fg(rho: int, r: int, order: int):
     """The Verlinde series (F, G) in nu, plus the variable change w(nu)."""
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    q = Fraction(r * r, rho * rho)
-    nu = identity(order)
-    one_plus_nu = _unit_linear(Fraction(1), order)
-    f = one_plus_nu.pow_rational(q) / _unit_linear(q, order)
-    g = one_plus_nu
-    w_of_nu = nu * one_plus_nu.pow_rational(q - 1)
-    return f, g, w_of_nu
+    f, g, change = _verlinde_factors(rho, r)
+    return _series([(1, f)], order), _series([(1, g)], order), _change_series(change, order)
 
 
 def verlinde_number(params: VerlindeParams) -> Fraction:
     """[w^n] of G^chiL * F with w = nu (1+nu)^(q-1), by Lagrange-Buermann.
 
-    (nu/w)^(n+1) w' = (1+nu)^((1-q) n - 1) (1 + q nu) cancels the
-    (1 + q nu)^(-1) of F, leaving a single power of 1 + nu.
+    The factor (nu/w)^(n+1) w' brings (1 + q nu)^1, which cancels the
+    (1 + q nu)^(-1) of F when the bases are merged.
     """
-    q = Fraction(params.r * params.r, params.rho * params.rho)
-    n = params.n
-    return _binomial_product({1: params.chiL + (1 - q) * (n - 1)}, n)[n]
+    f, g, change = _verlinde_factors(params.rho, params.r)
+    return _lagrange_buermann([(1, f), (params.chiL, g)], change, params.n)
 
 
 @dataclass(frozen=True)
@@ -223,29 +229,23 @@ def check_correspondence(
 ) -> CorrespondenceReport:
     """Compare both Segre-Verlinde identities order by order in t.
 
-    Every variable change is composed back to the common parameter t, the
-    strongest reading of the identities.  `f_exponent_offset` perturbs the
-    exponent on V in the F-identity and exists for negative controls.
+    Each right-hand side is one product of table maps, merged and expanded
+    in t once.  Each left-hand side is expanded in nu and composed with
+    nu(t) = t (1+at)^(-1), a = 1 - s/rho = -r/rho, so the two sides come by
+    different routes.  `f_exponent_offset` perturbs the exponent on V in
+    the F-identity and exists for negative controls.
     """
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    if order < 1:
-        raise ValueError("order must be at least 1")
     s = rho + r
-    v, w, x = build_vwx(rho, s, order)
-    f, g, _ = build_fg(rho, r, order)
-    nu_of_t = identity(order) / _unit_linear(Fraction(-r, rho), order)
-    lhs_g = g.compose(nu_of_t)
-    rhs_g = v * w.pow_rational(2)
+    v, w, x, _ = _segre_factors(rho, s)
+    f, g, _ = _verlinde_factors(rho, r)
+    nu_of_t = _change_series((Fraction(-r, rho), -1), order)
+    lhs_g = _series([(1, g)], order).compose(nu_of_t)
+    rhs_g = _series([(1, v), (2, w)], order)
     # (s/rho) (sqrt(rho) - 1/sqrt(rho))^2 simplifies to a rational number
     exponent = Fraction(s, rho) * (Fraction(rho) - 2 + Fraction(1, rho))
     exponent += _frac(f_exponent_offset)
-    lhs_f = f.compose(nu_of_t)
-    rhs_f = (
-        v.pow_rational(exponent)
-        * w.pow_rational(Fraction(-4 * s, rho))
-        * x.pow_rational(2)
-    )
+    lhs_f = _series([(1, f)], order).compose(nu_of_t)
+    rhs_f = _series([(exponent, v), (Fraction(-4 * s, rho), w), (2, x)], order)
     g_mismatch = _first_mismatch(lhs_g, rhs_g)
     f_mismatch = _first_mismatch(lhs_f, rhs_f)
     mismatches = [m for m in (g_mismatch, f_mismatch) if m is not None]

@@ -2,8 +2,56 @@
 
 from fractions import Fraction
 
-from k3mukai.segre_verlinde import build_fg, build_vwx, segre_variable_change
-from k3mukai.series import TruncatedSeries
+from k3mukai.series import TruncatedSeries, identity
+
+
+def _unit_linear(c, order: int) -> TruncatedSeries:
+    """The series 1 + c*t at the given order."""
+    return TruncatedSeries([1, c] + [0] * (order - 1)) if order >= 1 else TruncatedSeries([1])
+
+
+def vwx_by_powers(rho: int, s, order: int):
+    """(V, W, X) in the paper's form, one rational power of the series engine
+    per factor; independent of the library's exponent table."""
+    s = Fraction(s)
+    a = 1 - s / rho
+    b = 2 - s / rho
+    base_a = _unit_linear(a, order)
+    base_b = _unit_linear(b, order)
+    base_ab = _unit_linear(a * b, order)
+    half = Fraction(1, 2)
+    v = (
+        base_a.pow_rational(1 - s)
+        * base_b.pow_rational(s)
+        * base_a.pow_rational(rho - 1)
+    )
+    w = (
+        base_a.pow_rational(half * s - 1)
+        * base_b.pow_rational(half * (1 - s))
+        * base_a.pow_rational(half - half * rho)
+    )
+    x = (
+        base_a.pow_rational(half * s * s - s)
+        * base_b.pow_rational(-half * s * s + half)
+        * base_ab.pow_rational(-half)
+        * base_a.pow_rational(-((rho - 1) ** 2) * s / (2 * rho))
+    )
+    return v, w, x
+
+
+def segre_z_of_t(rho: int, s, order: int) -> TruncatedSeries:
+    """z = t (1 + at)^a with a = 1 - s/rho, by a rational power."""
+    a = 1 - Fraction(s) / rho
+    return identity(order) * _unit_linear(a, order).pow_rational(a)
+
+
+def fg_by_powers(rho: int, r: int, order: int):
+    """(F, G, w(nu)) in the paper's form, by rational powers and a division."""
+    q = Fraction(r * r, rho * rho)
+    one_plus_nu = _unit_linear(Fraction(1), order)
+    f = one_plus_nu.pow_rational(q) / _unit_linear(q, order)
+    w_of_nu = identity(order) * one_plus_nu.pow_rational(q - 1)
+    return f, one_plus_nu, w_of_nu
 
 
 def segre_by_reversion(params, order: int) -> Fraction:
@@ -12,17 +60,17 @@ def segre_by_reversion(params, order: int) -> Fraction:
     This is the Newton-reversion route: the series engine inverts the
     variable change and substitutes it, with no use of Lagrange-Buermann.
     """
-    v, w, x = build_vwx(params.rho, params.s, order)
+    v, w, x = vwx_by_powers(params.rho, params.s, order)
     product = v.pow_rational(params.c2) * w.pow_rational(params.c1sq) * x.pow_rational(2)
     if params.n == 0:
         return product.coeff(0)
-    t_of_z = segre_variable_change(params.rho, params.s, order)
+    t_of_z = segre_z_of_t(params.rho, params.s, order).revert()
     return product.compose(t_of_z).coeff(params.n)
 
 
 def verlinde_by_reversion(params, order: int) -> Fraction:
     """[w^n] of G^chiL F by reverting w(nu) and composing at `order`."""
-    f, g, w_of_nu = build_fg(params.rho, params.r, max(order, 1))
+    f, g, w_of_nu = fg_by_powers(params.rho, params.r, max(order, 1))
     series_in_nu = g.pow_rational(params.chiL) * f
     return series_in_nu.compose(w_of_nu.revert()).coeff(params.n)
 

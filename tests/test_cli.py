@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from k3mukai.cli import _worker_count, main
+from k3mukai.cli import MAX_GRID_POINTS, _worker_count, main
 from k3mukai.lattice import (
     hilbert_scheme_vector,
     k3_lattice,
@@ -284,6 +284,29 @@ def test_argument_errors_are_one_line(capsys):
     code, out, err = run_cli(capsys, "sweep", "check-sv", "--rho", "1:2:3:4")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", [
+    "0:10000000000", "-1" + "0" * 40 + ":0", "1:3,0:99999", "0:10000000000:2",
+])
+def test_huge_grid_is_refused_before_expansion(capsys, grid):
+    # sized from the endpoints: expanding 0:10000000000 would exhaust memory
+    code, out, err = run_cli(capsys, "sweep", "check-sv", f"--rho={grid}", "--r=", "--jobs", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: argument --rho: a grid may have at most {MAX_GRID_POINTS} points\n"
+
+
+def test_huge_sweep_product_is_refused(capsys):
+    code, out, err = run_cli(capsys, "sweep", "cross-check", "--rho", "1:100", "--s", "1:100",
+                             "--c2", "1:100", "--c1sq", "0")
+    assert (code, out) == (2, "")
+    assert err == f"error: a sweep may have at most {MAX_GRID_POINTS} points\n"
+
+
+def test_grid_at_the_cap_is_accepted(capsys):
+    grid = f"1:{MAX_GRID_POINTS}"
+    code, doc, _ = run_json(capsys, "sweep", "check-sv", f"--rho={grid}", "--r=", "--jobs", "1")
+    assert (code, doc["total"]) == (0, 0)
 
 
 def test_lone_double_dash_value_is_input_error(capsys):

@@ -5,9 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import lagrange_coefficient, segre_by_reversion, verlinde_by_reversion
+import test_golden
+from helpers import (
+    fg_by_powers,
+    lagrange_coefficient,
+    segre_by_reversion,
+    segre_z_of_t,
+    verlinde_by_reversion,
+    vwx_by_powers,
+)
 from k3mukai.series import OrderExceeded, TruncatedSeries, constant, identity
 from k3mukai.segre_verlinde import (
+    CorrespondenceReport,
     SegreParams,
     VerlindeParams,
     build_fg,
@@ -57,6 +66,18 @@ def test_vwx_degree_one_coefficient_of_v_is_rho():
             assert v.coeff(1) == rho
 
 
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_builders_equal_paper_form_where_bases_coincide(rho):
+    # s = 0 merges ab with b, s = rho drops a = 0, s = 2 rho drops b = ab = 0;
+    # r = 0 drops q = 0 and r = +-rho merges the bases 1 and q
+    order = 7
+    for s in (0, rho, 2 * rho, F(5, 3)):
+        assert build_vwx(rho, s, order) == vwx_by_powers(rho, s, order), s
+        assert segre_variable_change(rho, s, order) == segre_z_of_t(rho, s, order).revert()
+    for r in (0, rho, -rho, 1):
+        assert build_fg(rho, r, order) == fg_by_powers(rho, r, order), r
+
+
 # -- the Segre variable change -----------------------------------------------
 
 
@@ -72,9 +93,7 @@ def test_variable_change_rho1_s2_geometric():
 
 def test_variable_change_round_trip_generic():
     rho, s, order = 2, 3, 10
-    a = 1 - F(s, rho)
-    base = TruncatedSeries([1, a] + [0] * (order - 1))
-    z_of_t = identity(order) * base.pow_rational(a)
+    z_of_t = segre_z_of_t(rho, s, order)
     t_of_z = segre_variable_change(rho, s, order)
     assert z_of_t.compose(t_of_z) == identity(order)
     assert t_of_z.compose(z_of_t) == identity(order)
@@ -136,10 +155,8 @@ def test_segre_number_x_square_two_substitution_paths(rho, s):
     # the revert/compose route at order n and n + 4, and with the
     # derivative form of the Lagrange coefficient formula
     order = 8
-    a = 1 - F(s, rho)
-    base = TruncatedSeries([1, a] + [0] * (order - 1))
-    z_of_t = identity(order) * base.pow_rational(a)
-    _, _, x = build_vwx(rho, s, order)
+    z_of_t = segre_z_of_t(rho, s, order)
+    _, _, x = vwx_by_powers(rho, s, order)
     x_sq = x.pow_rational(2)
     for n in range(1, order + 1):
         params = SegreParams(rho, s, 0, 0, n)
@@ -217,7 +234,7 @@ def test_verlinde_number_against_lagrange_route(rho, r, chiL):
     # production must agree with reverting w(nu) at order n and n + 4, and
     # with the derivative form of the Lagrange formula on G^chiL * F
     order = 8
-    f, g, w_of_nu = build_fg(rho, r, order)
+    f, g, w_of_nu = fg_by_powers(rho, r, order)
     series_in_nu = g.pow_rational(chiL) * f
     for n in range(1, order + 1):
         params = VerlindeParams(rho, r, chiL, n)
@@ -292,6 +309,17 @@ def test_correspondence_rejects_bad_rho():
         check_correspondence(0, 1, 5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: build_vwx(0, 1, 3), lambda: build_vwx(1, 1, -1),
+    lambda: build_fg(0, 1, 3), lambda: build_fg(1, 1, 0),
+    lambda: segre_variable_change(0, 1, 3), lambda: segre_variable_change(1, 2, 0),
+    lambda: check_correspondence(1, 1, 0),
+])
+def test_builders_reject_bad_rho_and_order(call):
+    with pytest.raises(ValueError, match="rho must|order must"):
+        call()
+
+
 @given(
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=-2, max_value=2),
@@ -301,3 +329,23 @@ def test_correspondence_rejects_bad_rho():
 def test_correspondence_property(rho, r, order):
     report = check_correspondence(rho, r, order)
     assert report.g_identity_holds and report.f_identity_holds
+
+
+def test_numbers_and_check_need_no_rational_powers_or_reversion(monkeypatch):
+    # the production paths expand exponent maps; the engine is only the oracle
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series engine was asked for a power or a reversion")
+
+    for name in ("pow_rational", "exp", "log", "revert"):
+        monkeypatch.setattr(TruncatedSeries, name, refuse)
+    for (rho, s, c2, c1sq), row in test_golden.SEGRE.items():
+        if rho == 3:
+            for n, expected in zip(test_golden.NS, row):
+                assert str(segre_number(SegreParams(rho, F(s), c2, c1sq, n))) == expected
+    for (rho, r, chiL), row in test_golden.VERLINDE.items():
+        if rho == 3:
+            for n, expected in zip(test_golden.NS, row):
+                assert str(verlinde_number(VerlindeParams(rho, r, chiL, n))) == expected
+    assert check_correspondence(3, 2, 12) == CorrespondenceReport(3, 2, 12, True, True, None)
+    control = check_correspondence(3, 2, 12, f_exponent_offset=F(1, 7))
+    assert control == CorrespondenceReport(3, 2, 12, True, False, 1)
