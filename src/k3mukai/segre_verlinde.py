@@ -35,9 +35,10 @@ one table of these maps, copied from the formulas above.  _binomial_product
 merges the equal bases of any weighted product of maps and expands it by
 J.C.P. Miller's recurrence.  The numbers need no series reversion: by
 Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z', and for
-z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.
-check_correspondence expands both sides of each identity from the table;
-build_vwx, build_fg and segre_variable_change expand it for the tests.
+z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.  So is the
+substitution nu = t (1+at)^(-1): 1 + c nu = (1 + (a+c)t) / (1 + at), and
+check_correspondence expands each quotient LHS/RHS once.  build_vwx,
+build_fg and segre_variable_change expand the table for the tests.
 """
 
 from __future__ import annotations
@@ -214,11 +215,10 @@ class CorrespondenceReport:
     first_discrepant_order: int | None
 
 
-def _first_mismatch(lhs: TruncatedSeries, rhs: TruncatedSeries) -> int | None:
-    for k in range(min(lhs.order, rhs.order) + 1):
-        if lhs.coeff(k) != rhs.coeff(k):
-            return k
-    return None
+def _first_mismatch(quotient: list[Fraction]) -> int | None:
+    """The first k >= 1 where LHS and RHS differ, read from Q = LHS/RHS:
+    RHS(0) = 1, so LHS - RHS = RHS (Q - 1) starts where Q - 1 does."""
+    return next((k for k in range(1, len(quotient)) if quotient[k]), None)
 
 
 def check_correspondence(
@@ -229,25 +229,24 @@ def check_correspondence(
 ) -> CorrespondenceReport:
     """Compare both Segre-Verlinde identities order by order in t.
 
-    Each right-hand side is one product of table maps, merged and expanded
-    in t once.  Each left-hand side is expanded in nu and composed with
-    nu(t) = t (1+at)^(-1), a = 1 - s/rho = -r/rho, so the two sides come by
-    different routes.  `f_exponent_offset` perturbs the exponent on V in
-    the F-identity and exists for negative controls.
+    Under nu = t (1+at)^(-1), a = -r/rho, each (c, e) of F and G becomes
+    (a+c, e) and (a, -e), so each quotient LHS/RHS is one merged map, expanded
+    in t once and empty when the identity holds.  `f_exponent_offset`
+    perturbs the exponent on V in the F-identity, for negative controls.
     """
     s = rho + r
-    v, w, x, _ = _segre_factors(rho, s)
+    v, w, x, (a, _) = _segre_factors(rho, s)
     f, g, _ = _verlinde_factors(rho, r)
-    nu_of_t = _change_series((Fraction(-r, rho), -1), order)
-    lhs_g = _series([(1, g)], order).compose(nu_of_t)
-    rhs_g = _series([(1, v), (2, w)], order)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    f_t, g_t = ([p for c, e in m for p in ((a + c, e), (a, -e))] for m in (f, g))
     # (s/rho) (sqrt(rho) - 1/sqrt(rho))^2 simplifies to a rational number
     exponent = Fraction(s, rho) * (Fraction(rho) - 2 + Fraction(1, rho))
     exponent += _frac(f_exponent_offset)
-    lhs_f = _series([(1, f)], order).compose(nu_of_t)
-    rhs_f = _series([(exponent, v), (Fraction(-4 * s, rho), w), (2, x)], order)
-    g_mismatch = _first_mismatch(lhs_g, rhs_g)
-    f_mismatch = _first_mismatch(lhs_f, rhs_f)
+    g_quotient = [(1, g_t), (-1, v), (-2, w)]
+    f_quotient = [(1, f_t), (-exponent, v), (Fraction(4 * s, rho), w), (-2, x)]
+    g_mismatch = _first_mismatch(_binomial_product(g_quotient, order))
+    f_mismatch = _first_mismatch(_binomial_product(f_quotient, order))
     mismatches = [m for m in (g_mismatch, f_mismatch) if m is not None]
     return CorrespondenceReport(
         rho=rho,

@@ -8,8 +8,9 @@ the smaller of the two orders and never extend a series silently, so the
 order always tells you exactly how many coefficients are trustworthy.
 
 Compositional inversion is done by Newton iteration on composition.  The
-Segre and Verlinde numbers bypass this engine (see segre_verlinde); in the
-tests, its reversion route is their independent oracle.
+Segre and Verlinde numbers and the correspondence check bypass this engine
+(see segre_verlinde); in the tests, its reversion and composition routes
+are their independent oracle.
 """
 
 from __future__ import annotations

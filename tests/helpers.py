@@ -54,6 +54,26 @@ def fg_by_powers(rho: int, r: int, order: int):
     return f, one_plus_nu, w_of_nu
 
 
+def correspondence_by_composition(rho: int, r: int, order: int, f_exponent_offset=0):
+    """First orders where the G- and the F-identity fail, None where one holds.
+
+    F and G in nu are composed with nu(t) = t / (1 - (r/rho) t); the right-hand
+    sides raise V, W and X to their exponents by rational powers.  This is the
+    series engine's route, independent of the library's exponent table.
+    """
+    s = rho + r
+    f, g, _ = fg_by_powers(rho, r, order)
+    nu = identity(order) / _unit_linear(Fraction(-r, rho), order)
+    v, w, x = vwx_by_powers(rho, s, order)
+    exponent = Fraction(s, rho) * (rho - 2 + Fraction(1, rho)) + Fraction(f_exponent_offset)
+    rhs_f = v.pow_rational(exponent) * w.pow_rational(Fraction(-4 * s, rho)) * x.pow_rational(2)
+    sides = ((g.compose(nu), v * w.pow_rational(2)), (f.compose(nu), rhs_f))
+    return tuple(
+        next((k for k in range(order + 1) if lhs.coeff(k) != rhs.coeff(k)), None)
+        for lhs, rhs in sides
+    )
+
+
 def segre_by_reversion(params, order: int) -> Fraction:
     """[z^n] of V^c2 W^c1sq X^2 by reverting z(t) and composing at `order`.
 

@@ -54,6 +54,15 @@ def test_check_sv_command(capsys):
     assert doc["first_discrepant_order"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-sv", "--rho", "1", "--r", "0", "--order", "0"),
+    ("check-sv", "--rho", "1", "--r", "0", "--order", "-1"),
+    ("sweep", "check-sv", "--rho", "1", "--r", "0", "--order", "0", "--jobs", "1"),
+])
+def test_check_sv_bad_order_is_input_error(capsys, argv):
+    assert run_cli(capsys, *argv) == (2, "", "error: order must be at least 1\n")
+
+
 def test_check_sv_failure_maps_to_exit_one(capsys, monkeypatch):
     import k3mukai.cli as cli
     from k3mukai.segre_verlinde import CorrespondenceReport

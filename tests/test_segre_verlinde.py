@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import test_golden
 from helpers import (
+    correspondence_by_composition,
     fg_by_powers,
     lagrange_coefficient,
     segre_by_reversion,
@@ -299,9 +300,23 @@ def test_correspondence_negative_control():
 
 
 def test_correspondence_deeper_order_spot_check():
-    for rho, r in ((3, 2), (4, -3)):
-        report = check_correspondence(rho, r, 24)
+    for rho, r, order in ((3, 2, 24), (4, -3, 24), (3, 2, 200), (4, -3, 200)):
+        report = check_correspondence(rho, r, order)
         assert report.g_identity_holds and report.f_identity_holds
+    control = check_correspondence(3, 2, 200, f_exponent_offset=F(1, 7))
+    assert control == CorrespondenceReport(3, 2, 200, True, False, 1)
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3, 4])
+def test_correspondence_matches_composition_oracle(rho):
+    # the quotient of exponent maps against composition and rational powers
+    for r in range(-4, 5):
+        for order in (1, 12):
+            for offset in (0, F(1, 7), 1):
+                g, f = correspondence_by_composition(rho, r, order, offset)
+                first = min((m for m in (g, f) if m is not None), default=None)
+                expected = CorrespondenceReport(rho, r, order, g is None, f is None, first)
+                assert check_correspondence(rho, r, order, f_exponent_offset=offset) == expected
 
 
 def test_correspondence_rejects_bad_rho():
@@ -334,9 +349,10 @@ def test_correspondence_property(rho, r, order):
 def test_numbers_and_check_need_no_rational_powers_or_reversion(monkeypatch):
     # the production paths expand exponent maps; the engine is only the oracle
     def refuse(*args, **kwargs):
-        raise AssertionError("the series engine was asked for a power or a reversion")
+        raise AssertionError("the series engine was used on a production path")
 
-    for name in ("pow_rational", "exp", "log", "revert"):
+    for name in ("pow_rational", "exp", "log", "revert", "compose", "__mul__", "__truediv__",
+                 "__init__"):
         monkeypatch.setattr(TruncatedSeries, name, refuse)
     for (rho, s, c2, c1sq), row in test_golden.SEGRE.items():
         if rho == 3:
