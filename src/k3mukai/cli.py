@@ -12,7 +12,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import re
 import sys
 from fractions import Fraction
@@ -122,7 +121,10 @@ def _emit(doc: dict, fmt: str) -> None:
 
 def _load_input(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: the input is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: the input must be a JSON object")
     return doc
@@ -237,33 +239,14 @@ def _sweep_point_cross_check(point) -> dict:
     return {"rho": rho, "s": s, "c2": c2, "c1sq": c1sq, "ok": ok}
 
 
-def _worker_count(jobs: int | None, n_points: int, cpus: int) -> int:
-    """Sweep worker processes: never more than grid points or cores."""
-    return max(1, min(cpus if jobs is None else jobs, n_points, cpus))
-
-
-def _run_points(worker, points, jobs: int | None) -> list[dict]:
-    jobs = _worker_count(jobs, len(points), os.cpu_count() or 1)
-    if jobs == 1:
-        return [worker(p) for p in points]
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(worker, points))
-    except (ImportError, NotImplementedError, OSError, PermissionError):
-        # restricted environments without process support fall back to serial
-        return [worker(p) for p in points]
-
-
 def _cmd_sweep(args) -> int:
     if args.target == "check-sv":
-        worker, grids = _sweep_point_check_sv, (args.rho, args.r, [args.order])
+        evaluate, grids = _sweep_point_check_sv, (args.rho, args.r, [args.order])
     else:
-        worker, grids = _sweep_point_cross_check, (args.rho, args.s, args.c2, args.c1sq)
+        evaluate, grids = _sweep_point_cross_check, (args.rho, args.s, args.c2, args.c1sq)
     if math.prod(map(len, grids)) > MAX_GRID_POINTS:
         raise ValueError(f"a sweep may have at most {MAX_GRID_POINTS} points")
-    results = _run_points(worker, list(itertools.product(*grids)), args.jobs)
+    results = [evaluate(p) for p in itertools.product(*grids)]
     failures = [r for r in results if not r["ok"]]
     doc = {
         "command": args.target,
@@ -346,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=_parse_grid, default=[])
     p.add_argument("--c1sq", type=_parse_grid, default=[])
     p.add_argument("--order", type=int, default=12)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default and cap: available cores)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from k3mukai.cli import MAX_GRID_POINTS, _worker_count, main
+from k3mukai.cli import MAX_GRID_POINTS, main
 from k3mukai.lattice import (
     hilbert_scheme_vector,
     k3_lattice,
@@ -57,7 +57,7 @@ def test_check_sv_command(capsys):
 @pytest.mark.parametrize("argv", [
     ("check-sv", "--rho", "1", "--r", "0", "--order", "0"),
     ("check-sv", "--rho", "1", "--r", "0", "--order", "-1"),
-    ("sweep", "check-sv", "--rho", "1", "--r", "0", "--order", "0", "--jobs", "1"),
+    ("sweep", "check-sv", "--rho", "1", "--r", "0", "--order", "0"),
 ])
 def test_check_sv_bad_order_is_input_error(capsys, argv):
     assert run_cli(capsys, *argv) == (2, "", "error: order must be at least 1\n")
@@ -140,8 +140,7 @@ def test_span_reduce_command(capsys, tmp_path):
 
 def test_sweep_check_sv(capsys):
     code, doc, _ = run_json(
-        capsys, "sweep", "check-sv", "--rho", "1:2", "--r", "-1:1", "--order", "8",
-        "--jobs", "1",
+        capsys, "sweep", "check-sv", "--rho", "1:2", "--r", "-1:1", "--order", "8"
     )
     assert code == 0
     assert doc["total"] == 6
@@ -152,20 +151,27 @@ def test_sweep_check_sv(capsys):
 def test_sweep_cross_check(capsys):
     code, doc, _ = run_json(
         capsys, "sweep", "cross-check", "--rho", "1:2", "--s", "1:2",
-        "--c2", "-1:1", "--c1sq", "-2:2:2", "--jobs", "1",
+        "--c2", "-1:1", "--c1sq", "-2:2:2",
     )
     assert code == 0
     assert doc["total"] == 2 * 2 * 3 * 3
     assert doc["all_ok"] is True
 
 
-def test_sweep_parallel_jobs(capsys):
-    code, doc, _ = run_json(
-        capsys, "sweep", "check-sv", "--rho", "1:2", "--r", "0:1", "--order", "6",
-        "--jobs", "2",
-    )
-    assert code == 0
-    assert doc["all_ok"] is True
+def test_sweep_starts_no_process(capsys, monkeypatch):
+    import concurrent.futures
+    import os
+    import threading
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep must run in the calling process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    code, doc, _ = run_json(capsys, "sweep", "check-sv", "--rho", "1:4", "--r", "-3:3",
+                            "--order", "12")
+    assert (code, doc["total"], doc["all_ok"]) == (0, 28, True)
 
 
 def test_sweep_empty_grid(capsys):
@@ -198,12 +204,28 @@ def test_missing_input_file_exit_code(capsys, tmp_path):
 
 
 def _input_error(capsys, tmp_path, command, payload):
+    _input_text_error(capsys, tmp_path, command, json.dumps(payload))
+
+
+def _input_text_error(capsys, tmp_path, command, text):
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(text)
     code, out, err = run_cli(capsys, command, "--input", str(path))
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, key, opener, closer", [
+    ("fingerprint", "v", "[", "]"),
+    ("span-reduce", "v", "[", "]"),
+    ("reduce", "alpha", '{"a": ', "}"),
+    ("dim2", "alpha", '{"a": ', "}"),
+], ids=["fingerprint", "span-reduce", "reduce", "dim2"])
+def test_deeply_nested_input_is_input_error(capsys, tmp_path, command, key, opener, closer):
+    # json.load recurses once per level and raises RecursionError
+    text = f'{{"{key}": ' + opener * 100_000 + "0" + closer * 100_000 + "}"
+    _input_text_error(capsys, tmp_path, command, text)
 
 
 def test_reduce_input_zero_denominator_is_input_error(capsys, tmp_path):
@@ -300,7 +322,7 @@ def test_argument_errors_are_one_line(capsys):
 ])
 def test_huge_grid_is_refused_before_expansion(capsys, grid):
     # sized from the endpoints: expanding 0:10000000000 would exhaust memory
-    code, out, err = run_cli(capsys, "sweep", "check-sv", f"--rho={grid}", "--r=", "--jobs", "1")
+    code, out, err = run_cli(capsys, "sweep", "check-sv", f"--rho={grid}", "--r=")
     assert (code, out) == (2, "")
     assert err == f"error: argument --rho: a grid may have at most {MAX_GRID_POINTS} points\n"
 
@@ -314,7 +336,7 @@ def test_huge_sweep_product_is_refused(capsys):
 
 def test_grid_at_the_cap_is_accepted(capsys):
     grid = f"1:{MAX_GRID_POINTS}"
-    code, doc, _ = run_json(capsys, "sweep", "check-sv", f"--rho={grid}", "--r=", "--jobs", "1")
+    code, doc, _ = run_json(capsys, "sweep", "check-sv", f"--rho={grid}", "--r=")
     assert (code, doc["total"]) == (0, 0)
 
 
@@ -326,27 +348,16 @@ def test_lone_double_dash_value_is_input_error(capsys):
 
 
 def test_numbers_have_no_order_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "segre", "--rho", "1", "--s", "1", "--c2", "3", "--c1sq", "0", "--n", "2",
-        "--order", "6",
-    )
-    assert (code, out) == (2, "")
-    code, out, _ = run_cli(
-        capsys, "verlinde", "--rho", "1", "--r", "0", "--chiL", "3", "--n", "2", "--order", "6"
-    )
-    assert (code, out) == (2, "")
-
-
-def test_sweep_worker_count_is_clamped():
-    # pure function: no process is started here
-    assert _worker_count(None, 28, 2) == 2
-    assert _worker_count(4096, 2, 64) == 2
-    assert _worker_count(4096, 100, 8) == 8
-    assert _worker_count(3, 100, 8) == 3
-    assert _worker_count(None, 1, 8) == 1
-    assert _worker_count(5, 0, 8) == 1
-    assert _worker_count(0, 10, 8) == 1
-    assert _worker_count(-3, 10, 8) == 1
+    # removed flags are usage errors; sweeps have no --jobs either
+    for argv in (
+        ["segre", "--rho", "1", "--s", "1", "--c2", "3", "--c1sq", "0", "--n", "2",
+         "--order", "6"],
+        ["verlinde", "--rho", "1", "--r", "0", "--chiL", "3", "--n", "2", "--order", "6"],
+        ["sweep", "check-sv", "--rho", "1:2", "--r", "0", "--jobs", "2"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_output_byte_stable(capsys):

@@ -3,7 +3,7 @@
 Whatever the argument text or JSON document, `main` must exit 0 or 2 (never
 1, which means "verification failed", and never with a traceback) and write
 at most one line to standard error.  Sweeps here run with an empty second
-grid and --jobs 1, so no worker process is started.
+grid, so they evaluate no point.
 """
 
 import contextlib
@@ -69,7 +69,7 @@ def run_with_input(tmp_path_factory, command, doc):
 @FUZZ
 @given(st.one_of(raw_text, st.lists(grid_piece, max_size=4).map(",".join)))
 def test_fuzz_parse_grid(text):
-    run(["sweep", "check-sv", f"--rho={text}", "--r=", "--jobs", "1"])
+    run(["sweep", "check-sv", f"--rho={text}", "--r="])
 
 
 @FUZZ
