@@ -44,7 +44,7 @@ from .segre_verlinde import (
     segre_number,
     verlinde_number,
 )
-from .series import Rational, TruncatedSeries, constant, identity
+from .series import TruncatedSeries, constant, identity
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "MukaiVector",
     "PairingList",
     "QuadraticSpace",
-    "Rational",
     "ReductionTarget",
     "SegreParams",
     "TruncatedSeries",

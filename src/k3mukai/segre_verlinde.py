@@ -26,8 +26,8 @@ correspondence under s = rho + r and nu = t (1 - (r/rho) t)^(-1):
     F_r = V_s^((s/rho)(rho - 2 + 1/rho)) W_s^(-4s/rho) X_s^2,
     G_r = V_s W_s^2,
 
-which check_correspondence verifies order by order in the common parameter
-t, with exact rational arithmetic throughout.
+which check_correspondence verifies exactly in the common parameter t;
+from order 3 on, its verdict holds at every order.
 
 Every factor is a binomial power (1 + ct)^e, so each series is an exponent
 map, a list of pairs (c, e).  _segre_factors and _verlinde_factors are the
@@ -37,8 +37,9 @@ J.C.P. Miller's recurrence.  The numbers need no series reversion: by
 Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z', and for
 z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.  So is the
 substitution nu = t (1+at)^(-1): 1 + c nu = (1 + (a+c)t) / (1 + at), and
-check_correspondence expands each quotient LHS/RHS once.  build_vwx,
-build_fg and segre_variable_change expand the table for the tests.
+check_correspondence reads each quotient LHS/RHS from the power sums of its
+merged map, with no expansion.  build_vwx, build_fg and
+segre_variable_change expand the table for the tests.
 """
 
 from __future__ import annotations
@@ -116,25 +117,29 @@ def _verlinde_factors(rho: int, r: int):
     return [(1, q), (q, -1)], [(1, 1)], (1, q - 1)
 
 
-def _binomial_product(weighted, n: int) -> list[Fraction]:
-    """Coefficients t^0..t^n of prod M^k over the weighted maps (k, M).
-
-    Equal bases are merged first, so the product is prod (1 + c t)^e over
-    the merged map {c: e}; bases with c = 0 or e = 0 are the constant 1 and
-    drop out.  The logarithmic derivative P'/P = sum e c / (1 + c t) gives
-    Q P' = R P with polynomials Q = prod (1 + c t), R = Q sum e c / (1 + c t);
-    at t^m this is J.C.P. Miller's recurrence, O(#bases) steps per coefficient:
-        (m+1) p_(m+1) = sum_j r_j p_(m-j) - sum_(j>=1) q_j (m+1-j) p_(m+1-j).
-    """
+def _merged(weighted) -> dict:
+    """The map {c: e} of prod M^k over the weighted maps (k, M), equal bases
+    merged; bases with c = 0 or e = 0 are the constant 1 and drop out."""
     merged: dict = {}
     for k, factors in weighted:
         for c, e in factors:
             merged[c] = merged.get(c, 0) + e * k
+    return {c: e for c, e in merged.items() if c and e}
+
+
+def _binomial_product(weighted, n: int) -> list[Fraction]:
+    """Coefficients t^0..t^n of prod M^k over the weighted maps (k, M).
+
+    The product is prod (1 + c t)^e over the merged map {c: e}.  The
+    logarithmic derivative P'/P = sum e c / (1 + c t) gives Q P' = R P
+    with polynomials Q = prod (1 + c t), R = Q sum e c / (1 + c t);
+    at t^m this is J.C.P. Miller's recurrence, O(#bases) steps per coefficient:
+        (m+1) p_(m+1) = sum_j r_j p_(m-j) - sum_(j>=1) q_j (m+1-j) p_(m+1-j).
+    """
     q, r = [Fraction(1)], [Fraction(0)]
-    for c, e in merged.items():
-        if c and e:
-            r = [x + c * y + e * c * z for x, y, z in zip(r + [0], [0] + r, q + [0])]
-            q = [x + c * y for x, y in zip(q + [0], [0] + q)]
+    for c, e in _merged(weighted).items():
+        r = [x + c * y + e * c * z for x, y, z in zip(r + [0], [0] + r, q + [0])]
+        q = [x + c * y for x, y in zip(q + [0], [0] + q)]
     p = [Fraction(1)]
     for m in range(n):
         acc = sum(r[j] * p[m - j] for j in range(min(m + 1, len(r))))
@@ -205,7 +210,9 @@ def verlinde_number(params: VerlindeParams) -> Fraction:
 
 @dataclass(frozen=True)
 class CorrespondenceReport:
-    """Outcome of one exact Segre-Verlinde comparison."""
+    """Outcome of one exact Segre-Verlinde comparison in t up to `order`.
+    Each quotient has at most three bases, so for order >= 3 an identity
+    that holds there holds at every order."""
 
     rho: int
     r: int
@@ -215,10 +222,16 @@ class CorrespondenceReport:
     first_discrepant_order: int | None
 
 
-def _first_mismatch(quotient: list[Fraction]) -> int | None:
-    """The first k >= 1 where LHS and RHS differ, read from Q = LHS/RHS:
-    RHS(0) = 1, so LHS - RHS = RHS (Q - 1) starts where Q - 1 does."""
-    return next((k for k in range(1, len(quotient)) if quotient[k]), None)
+def _first_mismatch(quotient, order: int) -> int | None:
+    """The first k in 1..order where LHS and RHS differ, for Q = LHS/RHS
+    given as weighted maps: RHS(0) = 1, so LHS - RHS starts where Q - 1 does.
+
+    log Q = sum_k (-1)^(k+1) p_k t^k / k with p_k = sum e c^k over the merged
+    map, and by Vandermonde a map with m bases has p_k != 0 for some k <= m.
+    """
+    m = _merged(quotient)
+    powers = range(1, min(order, len(m)) + 1)
+    return next((k for k in powers if sum(e * c**k for c, e in m.items())), None)
 
 
 def check_correspondence(
@@ -227,12 +240,14 @@ def check_correspondence(
     order: int,
     f_exponent_offset: Fraction | int = 0,
 ) -> CorrespondenceReport:
-    """Compare both Segre-Verlinde identities order by order in t.
+    """Compare both Segre-Verlinde identities in t up to `order`.
 
     Under nu = t (1+at)^(-1), a = -r/rho, each (c, e) of F and G becomes
-    (a+c, e) and (a, -e), so each quotient LHS/RHS is one merged map, expanded
-    in t once and empty when the identity holds.  `f_exponent_offset`
-    perturbs the exponent on V in the F-identity, for negative controls.
+    (a+c, e) and (a, -e), so each quotient LHS/RHS is one merged map, empty
+    when the identity holds.  As q = a^2, F's base a+q is X's base ab: every
+    map has bases in {a, b, ab}, so at most three power sums decide the
+    identity at every order.  `f_exponent_offset` perturbs the exponent on V
+    in the F-identity, for negative controls.
     """
     s = rho + r
     v, w, x, (a, _) = _segre_factors(rho, s)
@@ -245,8 +260,8 @@ def check_correspondence(
     exponent += _frac(f_exponent_offset)
     g_quotient = [(1, g_t), (-1, v), (-2, w)]
     f_quotient = [(1, f_t), (-exponent, v), (Fraction(4 * s, rho), w), (-2, x)]
-    g_mismatch = _first_mismatch(_binomial_product(g_quotient, order))
-    f_mismatch = _first_mismatch(_binomial_product(f_quotient, order))
+    g_mismatch = _first_mismatch(g_quotient, order)
+    f_mismatch = _first_mismatch(f_quotient, order)
     mismatches = [m for m in (g_mismatch, f_mismatch) if m is not None]
     return CorrespondenceReport(
         rho=rho,

@@ -20,8 +20,6 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-Rational = Fraction
-
 
 class SeriesError(ValueError):
     """A series operation was called outside its domain."""
@@ -122,9 +120,6 @@ class TruncatedSeries:
         if order == self.order:
             return self
         return TruncatedSeries(self._coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self._coeffs)
 
     # -- ring operations ---------------------------------------------------
 
@@ -350,20 +345,6 @@ class TruncatedSeries:
 
     def __repr__(self):
         return f"TruncatedSeries({list(self._coeffs)!r})"
-
-    def __str__(self):
-        terms = []
-        for k, c in enumerate(self._coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            elif k == 1:
-                terms.append(f"{c}*t")
-            else:
-                terms.append(f"{c}*t^{k}")
-        body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
-        return f"{body} + O(t^{self.order + 1})"
 
 
 def constant(value, order: int) -> TruncatedSeries:

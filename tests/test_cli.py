@@ -54,6 +54,13 @@ def test_check_sv_command(capsys):
     assert doc["first_discrepant_order"] is None
 
 
+def test_check_sv_at_a_huge_order(capsys):
+    code, out, _ = run_cli(capsys, "check-sv", "--rho", "3", "--r", "2", "--order", "1000000")
+    assert code == 0
+    assert out == ('{"f_identity": true, "first_discrepant_order": null, "g_identity": true, '
+                   '"order": 1000000, "r": 2, "rho": 3}\n')
+
+
 @pytest.mark.parametrize("argv", [
     ("check-sv", "--rho", "1", "--r", "0", "--order", "0"),
     ("check-sv", "--rho", "1", "--r", "0", "--order", "-1"),

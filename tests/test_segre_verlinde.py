@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +22,8 @@ from k3mukai.segre_verlinde import (
     CorrespondenceReport,
     SegreParams,
     VerlindeParams,
+    _binomial_product,
+    _first_mismatch,
     build_fg,
     build_vwx,
     check_correspondence,
@@ -300,11 +304,65 @@ def test_correspondence_negative_control():
 
 
 def test_correspondence_deeper_order_spot_check():
-    for rho, r, order in ((3, 2, 24), (4, -3, 24), (3, 2, 200), (4, -3, 200)):
+    for rho, r, order in ((3, 2, 24), (4, -3, 24), (3, 2, 200), (4, -3, 200), (3, 2, 10**6)):
         report = check_correspondence(rho, r, order)
         assert report.g_identity_holds and report.f_identity_holds
-    control = check_correspondence(3, 2, 200, f_exponent_offset=F(1, 7))
-    assert control == CorrespondenceReport(3, 2, 200, True, False, 1)
+    for order in (200, 10**6):
+        control = check_correspondence(3, 2, order, f_exponent_offset=F(1, 7))
+        assert control == CorrespondenceReport(3, 2, order, True, False, 1)
+    # every quotient has at most three bases, so order 3 decides every order
+    for rho in range(1, 9):
+        for r in range(-12, 13):
+            for offset in (0, F(1, 7), 1, F(-3, 2)):
+                report = check_correspondence(rho, r, 3, f_exponent_offset=offset)
+                deep = check_correspondence(rho, r, 10**6, f_exponent_offset=offset)
+                assert replace(report, order=10**6) == deep, (rho, r, offset)
+
+
+def _planted_maps(rho, r, rng):
+    """Weighted maps on the bases a, b, ab of the check at (rho, r): random
+    ones, and, where the three bases are distinct and nonzero, maps whose
+    power sums vanish at k = 1 and at k = 1, 2, each split over several
+    weighted factors with a zero base so that the merge is exercised too."""
+    a = F(-r, rho)
+    b = 1 + a
+    ab = a * b
+
+    def exponent():
+        return F(rng.randint(-9, 9), rng.randint(1, 6))
+
+    maps = [[], [(1, [(0, exponent())])]]
+    for _ in range(6):
+        maps.append([(1, [(c, exponent()) for c in (a, b, ab)])])
+    if len({0, a, b, ab}) == 4:
+        e_b, e_ab = exponent() or 1, exponent() or 1
+        maps.append([(1, [(a, -(e_b * b + e_ab * ab) / a), (b, e_b)]), (1, [(ab, e_ab)])])
+        # solve e_a a^k + e_b b^k = -e_ab ab^k for k = 1, 2 by Cramer's rule
+        det = a * b * (b - a)
+        e_a = -e_ab * ab * b * (b - ab) / det
+        e_b = -e_ab * a * ab * (ab - a) / det
+        maps.append([(2, [(a, e_a / 2), (0, 3)]), (-1, [(b, -e_b), (ab, -e_ab / 2)]),
+                     (F(1, 2), [(ab, e_ab)])])
+    return maps
+
+
+@pytest.mark.parametrize("rho,r", [(1, 2), (2, 1), (3, -2), (4, 3), (5, -7), (2, 0), (2, 2),
+                                   (2, -2), (7, 12)])
+def test_first_mismatch_reads_power_sums_past_the_first(rho, r):
+    # the power sums against the first nonzero t^k, k >= 1, of the expansion
+    # of the same map, at orders below and above the first mismatch
+    rng = random.Random(1000 * rho + r)
+    firsts = []
+    for weighted in _planted_maps(rho, r, rng):
+        expansion = _binomial_product(weighted, 9)
+        first = next((k for k in range(1, 10) if expansion[k]), None)
+        firsts.append(first)
+        for order in range(1, 10):
+            expected = first if first is not None and first <= order else None
+            assert _first_mismatch(weighted, order) == expected, (weighted, order)
+    assert firsts[:2] == [None, None]
+    if r not in (0, rho, -rho):
+        assert firsts[-2:] == [2, 3]
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3, 4])
