@@ -9,6 +9,7 @@ fails, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -262,7 +263,9 @@ def _cmd_sweep(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built on the first call; do not change it."""
     parser = _Parser(
         prog="k3mukai",
         description="Exact Segre and Verlinde numbers for sheaf moduli on K3 surfaces",
@@ -323,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="evaluate a command over a parameter grid")
     p.add_argument("target", choices=("check-sv", "cross-check"))
-    p.add_argument("--rho", type=_parse_grid, default=[])
-    p.add_argument("--r", type=_parse_grid, default=[])
-    p.add_argument("--s", type=_parse_grid, default=[])
-    p.add_argument("--c2", type=_parse_grid, default=[])
-    p.add_argument("--c1sq", type=_parse_grid, default=[])
+    p.add_argument("--rho", type=_parse_grid, default=())
+    p.add_argument("--r", type=_parse_grid, default=())
+    p.add_argument("--s", type=_parse_grid, default=())
+    p.add_argument("--c2", type=_parse_grid, default=())
+    p.add_argument("--c1sq", type=_parse_grid, default=())
     p.add_argument("--order", type=int, default=12)
     p.set_defaults(func=_cmd_sweep)
 

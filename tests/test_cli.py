@@ -380,3 +380,62 @@ def test_plain_format(capsys):
     )
     assert code == 0
     assert out == 'value="3"\n'
+
+
+def _every_command_argv(tmp_path):
+    """Successes of every command, in both formats, with input errors between them."""
+    moduli = tmp_path / "moduli.json"
+    moduli.write_text(json.dumps(_moduli_payload()))
+    space = k3_lattice()
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps({
+        "v": mukai_vector_to_json(hilbert_scheme_vector(space, 3)),
+        "xs": [mukai_vector_to_json(point_class(space))],
+    }))
+    return [
+        ["segre", "--rho", "2", "--s", "1/2", "--c2", "1", "--c1sq", "2", "--n", "3"],
+        ["segre", "--rho", "1"],
+        ["--format", "plain", "verlinde", "--rho", "2", "--r", "1", "--chiL", "3", "--n", "2"],
+        ["reduce", "--rho", "2", "--alpha=--"],
+        ["check-sv", "--rho", "3", "--r", "2"],
+        ["no-such-command"],
+        ["reduce", "--rho", "2", "--n", "3", "--alpha", "2,4,5,3", "--Lsq", "6", "--u", "1"],
+        ["segre", "--rho", "1", "--s", "1/0", "--c2", "3", "--c1sq", "0", "--n", "2"],
+        ["--format", "plain", "reduce", "--input", str(moduli)],
+        ["check-sv", "--rho", "1", "--r", "0", "--order", "0"],
+        ["dim2", "--rho", "2", "--alpha", "2,0,0,0"],
+        ["fingerprint", "--input", str(vectors)],
+        ["--format", "plain", "span-reduce", "--input", str(vectors)],
+        ["sweep", "check-sv", "--rho", "1:2", "--r", "-1:1", "--order", "8"],
+        ["sweep", "check-sv", "--rho", "1:3"],
+        ["--format", "plain", "sweep", "cross-check", "--rho", "1:2", "--s", "1,2",
+         "--c2", "0", "--c1sq", "-2:2:2"],
+        ["segre", "--help"],
+    ]
+
+
+def test_warm_parser_matches_a_fresh_parser(capsys, tmp_path):
+    from k3mukai.cli import build_parser
+
+    argvs = _every_command_argv(tmp_path)
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert {code for code, _, _ in fresh} == {0, 2}
+    for _ in range(3):
+        assert [run_cli(capsys, *argv) for argv in argvs] == fresh
+
+
+def test_main_builds_no_parser_after_the_first_call(capsys, tmp_path, monkeypatch):
+    import argparse
+
+    argvs = _every_command_argv(tmp_path)
+    expected = [run_cli(capsys, *argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the parser must be built once per process")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == expected

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from k3mukai.reduction import (
     KClassInvariants,
     ModuliData,
     ReductionTarget,
+    c2_from_v2,
     dependence_pairings,
     dim2_evaluate,
     hilbert_pairings,
@@ -21,7 +23,7 @@ from k3mukai.reduction import (
     reduction_target_to_json,
     segre_cross_check,
 )
-from k3mukai.segre_verlinde import SegreParams, segre_number
+from k3mukai.segre_verlinde import SegreParams, _merged, _segre_factors, segre_number
 
 F = Fraction
 
@@ -221,6 +223,40 @@ def test_segre_number_n1_equals_c2_at_rho_one():
     for s in range(1, 5):
         for c2 in range(-3, 4):
             assert segre_number(SegreParams(1, s, c2, 2, 1)) == c2
+
+
+def _hilbert_point(rho, s, c2, c1sq):
+    """(1, rk(beta), c2(beta), c1sq): the Hilbert-scheme point that
+    reduce_to_hilbert assigns to the class of rank s with these exponents."""
+    alpha = alpha_of(s, c1sq, 0, c2_from_v2(F(s), F(c1sq), F(c2)))
+    beta = reduce_to_hilbert(ModuliData(rho=rho, n=1, alpha=alpha, Lsq=0, u=0)).beta
+    return 1, beta.rank, c2_from_v2(beta.rank, beta.c1sq, beta.v2), c1sq
+
+
+def _segre_integrand(rho, s, c2, c1sq):
+    v, w, x, change = _segre_factors(rho, s)
+    return _merged([(c2, v), (c1sq, w), (2, x)]), change
+
+
+def test_reduction_preserves_the_segre_integrand_at_every_n():
+    # segre_number at every n is a function of the merged map and the
+    # variable change alone, so equal pairs give equal numbers for all n
+    thirds = [F(k, 3) for k in range(-9, 10)]
+    for point in itertools.product(range(1, 6), thirds, range(-2, 3), range(-4, 5, 2)):
+        assert _segre_integrand(*_hilbert_point(*point)) == _segre_integrand(*point)
+
+
+@pytest.mark.parametrize("point", [
+    (2, F(-8, 3), 1, 2), (2, F(-2, 3), 1, -2), (2, -2, -1, -2), (3, 3, -1, 4), (2, 4, 2, 2),
+])
+def test_reduction_preserves_segre_numbers_spot_check(point):
+    rho, s, c2, c1sq = point
+    one, s_beta, c2_beta, _ = _hilbert_point(*point)
+    assert c2_beta.denominator == 1
+    for n in range(2, 5):
+        assert segre_number(SegreParams(one, s_beta, int(c2_beta), c1sq, n)) == segre_number(
+            SegreParams(rho, s, c2, c1sq, n)
+        )
 
 
 # -- JSON -----------------------------------------------------------------------------
