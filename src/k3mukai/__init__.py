@@ -44,7 +44,6 @@ from .segre_verlinde import (
     segre_number,
     verlinde_number,
 )
-from .series import TruncatedSeries, constant, identity
 
 __version__ = "0.1.0"
 
@@ -58,10 +57,8 @@ __all__ = [
     "QuadraticSpace",
     "ReductionTarget",
     "SegreParams",
-    "TruncatedSeries",
     "VerlindeParams",
     "check_correspondence",
-    "constant",
     "dependence_pairings",
     "dim2_evaluate",
     "fingerprint",
@@ -70,7 +67,6 @@ __all__ = [
     "hilbert_pairings",
     "hilbert_scheme_vector",
     "hyperbolic_plane",
-    "identity",
     "k3_lattice",
     "mukai_pairing",
     "mukai_vector_from_chern",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .segre_verlinde import SegreParams, segre_number
-from .series import _frac, _json_number
+from .series import _check_ints, _frac, _json_number
 
 
 class DimensionMismatch(ValueError):
@@ -55,6 +55,7 @@ class ModuliData:
     u: Fraction
 
     def __post_init__(self):
+        _check_ints(self, "rho", "n")
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
         if self.n < 1:
@@ -192,12 +193,13 @@ def segre_cross_check(rho: int, s: int, c2: int, c1sq: int) -> bool:
     alpha is reconstructed from (s, c1sq, c2) through v2 = s + c1sq/2 - c2,
     with L = 0 and u = 0 on both sides.
     """
-    value_series = segre_number(SegreParams(rho=rho, s=Fraction(s), c2=c2, c1sq=c1sq, n=1))
+    s = _frac(s)
+    value_series = segre_number(SegreParams(rho=rho, s=s, c2=c2, c1sq=c1sq, n=1))
     alpha = KClassInvariants(
-        rank=Fraction(s),
+        rank=s,
         c1sq=Fraction(c1sq),
         c1L=Fraction(0),
-        v2=c2_from_v2(Fraction(s), Fraction(c1sq), Fraction(c2)),
+        v2=c2_from_v2(s, Fraction(c1sq), Fraction(c2)),
     )
     value_closed = dim2_evaluate(ModuliData(rho=rho, n=1, alpha=alpha, Lsq=0, u=0))
     return value_series == value_closed

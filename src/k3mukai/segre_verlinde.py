@@ -31,23 +31,24 @@ from order 3 on, its verdict holds at every order.
 
 Every factor is a binomial power (1 + ct)^e, so each series is an exponent
 map, a list of pairs (c, e).  _segre_factors and _verlinde_factors are the
-one table of these maps, copied from the formulas above.  _binomial_product
-merges the equal bases of any weighted product of maps and expands it by
-J.C.P. Miller's recurrence.  The numbers need no series reversion: by
-Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z', and for
-z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.  So is the
-substitution nu = t (1+at)^(-1): 1 + c nu = (1 + (a+c)t) / (1 + at), and
-check_correspondence reads each quotient LHS/RHS from the power sums of its
-merged map, with no expansion.  build_vwx, build_fg and
-segre_variable_change expand the table for the tests.
+one table of these maps, copied from the formulas above.  The numbers need
+no series reversion: by Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z',
+and for z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.  Merged
+(_merged), each integrand has at most two bases, so each number is a finite
+binomial sum (_binomials), as in Marian-Oprea-Pandharipande, "Segre classes
+and Hilbert schemes of points".  The substitution nu = t (1+at)^(-1) is a
+map rule, 1 + c nu = (1 + (a+c)t) / (1 + at), and check_correspondence reads
+each quotient LHS/RHS from the power sums of its merged map.  build_vwx,
+build_fg and segre_variable_change expand the table for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
-from .series import TruncatedSeries, _frac
+from .series import TruncatedSeries, _check_ints, _frac, constant
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,7 @@ class SegreParams:
     n: int
 
     def __post_init__(self):
+        _check_ints(self, "rho", "c2", "c1sq", "n")
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
         if self.n < 0:
@@ -83,6 +85,7 @@ class VerlindeParams:
     n: int
 
     def __post_init__(self):
+        _check_ints(self, "rho", "r", "chiL", "n")
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
         if self.n < 0:
@@ -127,49 +130,41 @@ def _merged(weighted) -> dict:
     return {c: e for c, e in merged.items() if c and e}
 
 
-def _binomial_product(weighted, n: int) -> list[Fraction]:
-    """Coefficients t^0..t^n of prod M^k over the weighted maps (k, M).
-
-    The product is prod (1 + c t)^e over the merged map {c: e}.  The
-    logarithmic derivative P'/P = sum e c / (1 + c t) gives Q P' = R P
-    with polynomials Q = prod (1 + c t), R = Q sum e c / (1 + c t);
-    at t^m this is J.C.P. Miller's recurrence, O(#bases) steps per coefficient:
-        (m+1) p_(m+1) = sum_j r_j p_(m-j) - sum_(j>=1) q_j (m+1-j) p_(m+1-j).
-    """
-    q, r = [Fraction(1)], [Fraction(0)]
-    for c, e in _merged(weighted).items():
-        r = [x + c * y + e * c * z for x, y, z in zip(r + [0], [0] + r, q + [0])]
-        q = [x + c * y for x, y in zip(q + [0], [0] + q)]
-    p = [Fraction(1)]
-    for m in range(n):
-        acc = sum(r[j] * p[m - j] for j in range(min(m + 1, len(r))))
-        acc -= sum(q[j] * (m + 1 - j) * p[m + 1 - j] for j in range(1, min(m + 2, len(q))))
-        p.append(acc / (m + 1))
-    return p
+def _binomials(c, e, n: int) -> list[Fraction]:
+    """binom(e, k) c^k for k = 0..n: the coefficients of (1 + ct)^e."""
+    out = [Fraction(1)]
+    for k in range(n):
+        out.append(out[-1] * (e - k) * c / (k + 1))
+    return out
 
 
 def _lagrange_buermann(weighted, change, n: int) -> Fraction:
     """[z^n] H(t(z)) for H the product of the weighted maps, z = t (1+ct)^e.
 
     [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z' with change = (c, e), and
-    (t/z)^(n+1) z' = (1+ct)^(-en-1) (1+c(1+e)t) is one more map.
+    (t/z)^(n+1) z' = (1+ct)^(-en-1) (1+c(1+e)t) is one more map; at most two bases remain.
     """
     c, e = change
-    return _binomial_product([*weighted, (1, [(c, -e * n - 1), (c * (1 + e), 1)])], n)[n]
+    merged = _merged([*weighted, (1, [(c, -e * n - 1), (c * (1 + e), 1)])])
+    if len(merged) > 2:
+        raise ValueError(f"the integrand has {len(merged)} bases, the closed form at most two")
+    (a, e_a), (b, e_b) = [*merged.items(), (0, 0), (0, 0)][:2]
+    return sum(x * y for x, y in zip(_binomials(a, e_a, n), reversed(_binomials(b, e_b, n))))
 
 
 def _series(weighted, order: int) -> TruncatedSeries:
     """The product of the weighted maps, exact to `order`."""
     if order < 0:
         raise ValueError("order must be non-negative")
-    return TruncatedSeries(_binomial_product(weighted, order))
+    factors = (TruncatedSeries(_binomials(c, e, order)) for c, e in _merged(weighted).items())
+    return prod(factors, start=constant(1, order))
 
 
 def _change_series(change, order: int) -> TruncatedSeries:
     """z = t (1+ct)^e exact to `order`, for change = (c, e)."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return TruncatedSeries([0, *_binomial_product([(1, [change])], order - 1)])
+    return TruncatedSeries([0, *_binomials(*change, order - 1)])
 
 
 def build_vwx(rho: int, s, order: int):
@@ -186,7 +181,10 @@ def segre_number(params: SegreParams) -> Fraction:
     """[z^n] of V^c2 * W^c1sq * X^2 with z = t (1+at)^a, by Lagrange-Buermann.
 
     The factor (t/z)^(n+1) z' brings (1+abt)^1, which cancels the
-    (1+abt)^(-1) of X^2 when the bases are merged.
+    (1+abt)^(-1) of X^2 when the bases are merged, so the number is
+    sum_k binom(E_a, k) binom(E_b, n-k) a^k b^(n-k) with
+    E_a = c2 (rho-s) + c1sq (s-rho-1)/2 + s^2 - 2s - (rho-1)^2 s/rho - an - 1
+    and E_b = c2 s + c1sq (1-s)/2 + 1 - s^2.
     """
     v, w, x, change = _segre_factors(params.rho, params.s)
     return _lagrange_buermann([(params.c2, v), (params.c1sq, w), (2, x)], change, params.n)
@@ -202,7 +200,8 @@ def verlinde_number(params: VerlindeParams) -> Fraction:
     """[w^n] of G^chiL * F with w = nu (1+nu)^(q-1), by Lagrange-Buermann.
 
     The factor (nu/w)^(n+1) w' brings (1 + q nu)^1, which cancels the
-    (1 + q nu)^(-1) of F when the bases are merged.
+    (1 + q nu)^(-1) of F when the bases are merged; the one base left is 1,
+    so the number is binom(chiL + (1-q)(n-1), n) with q = r^2/rho^2.
     """
     f, g, change = _verlinde_factors(params.rho, params.r)
     return _lagrange_buermann([(1, f), (params.chiL, g)], change, params.n)

@@ -50,7 +50,20 @@ class OrderExceeded(SeriesError):
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as a Fraction; only a Fraction or an int (not a bool) is exact input."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"expected an int or a Fraction, got {x!r}")
+    return Fraction(x)
+
+
+def _check_ints(obj, *names: str) -> None:
+    """Raise unless each named attribute of obj is an int (not a bool)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 # no exponent forms: Fraction("1e999999999") would build a billion-digit integer

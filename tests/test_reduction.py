@@ -194,6 +194,18 @@ def test_dim2_rejects_higher_dimension():
         dim2_evaluate(m)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: dim2_evaluate(ModuliData(rho=2.5, n=1, alpha=alpha_of(2, 0, 0, 2), Lsq=0, u=0)),
+    lambda: dim2_evaluate(ModuliData(rho=True, n=1, alpha=alpha_of(2, 0, 0, 2), Lsq=0, u=0)),
+    lambda: segre_cross_check(2, 1.5, 0, 0),
+    lambda: segre_cross_check(2, "1e999999999", 0, 0),
+], ids=["float-rho", "bool-rho", "float-s", "str-s"])
+def test_moduli_inputs_refuse_inexact_values(call):
+    with pytest.raises(TypeError, match="must be an integer|expected an int") as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
 # -- series vs closed form ----------------------------------------------------------
 
 

@@ -22,8 +22,10 @@ from k3mukai.segre_verlinde import (
     CorrespondenceReport,
     SegreParams,
     VerlindeParams,
-    _binomial_product,
+    _binomials,
     _first_mismatch,
+    _lagrange_buermann,
+    _series,
     build_fg,
     build_vwx,
     check_correspondence,
@@ -276,6 +278,42 @@ def test_numbers_match_reversion_oracle_property(point, e1, e2, guard):
     assert verlinde_number(verlinde) == verlinde_by_reversion(verlinde, n + guard)
 
 
+# -- the binomial sums and their inputs -----------------------------------------------
+
+_rationals = st.one_of(
+    st.sampled_from([0, -1, -2, -5]),
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+)
+
+
+@given(_rationals, _rationals, st.integers(min_value=0, max_value=10))
+@settings(max_examples=60)
+def test_binomials_match_the_engines_rational_power(c, e, n):
+    # exp(e log(1 + ct)) is a route independent of the ratio loop
+    expected = TruncatedSeries(([1, c] + [0] * n)[: n + 1]).pow_rational(e)
+    assert _binomials(c, e, n) == list(expected.coeffs)
+
+
+def test_lagrange_buermann_refuses_a_third_base():
+    # the two-term convolution would drop the third base and give a wrong number
+    with pytest.raises(ValueError, match="3 bases"):
+        _lagrange_buermann([(1, [(2, F(1, 2)), (3, -1)])], (1, 1), 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: segre_number(SegreParams(rho=2.5, s=1, c2=1, c1sq=0, n=2)),
+    lambda: segre_number(SegreParams(rho=2, s=1, c2=1.5, c1sq=0, n=2)),
+    lambda: verlinde_number(VerlindeParams(rho=2, r=1, chiL=0.5, n=2)),
+    lambda: segre_number(SegreParams(rho=True, s=1, c2=1, c1sq=0, n=2)),
+    lambda: segre_number(SegreParams(rho=2, s="1e999999999", c2=1, c1sq=0, n=2)),
+], ids=["float-rho", "float-c2", "float-chiL", "bool-rho", "str-s"])
+def test_numbers_refuse_inexact_input(call):
+    with pytest.raises(TypeError, match="must be an integer|expected an int") as info:
+        call()
+    assert "\n" not in str(info.value)
+
+
 # -- the correspondence -----------------------------------------------------------
 
 
@@ -354,7 +392,7 @@ def test_first_mismatch_reads_power_sums_past_the_first(rho, r):
     rng = random.Random(1000 * rho + r)
     firsts = []
     for weighted in _planted_maps(rho, r, rng):
-        expansion = _binomial_product(weighted, 9)
+        expansion = _series(weighted, 9).coeffs
         first = next((k for k in range(1, 10) if expansion[k]), None)
         firsts.append(first)
         for order in range(1, 10):
