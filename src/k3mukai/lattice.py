@@ -10,17 +10,20 @@ needs its own coordinates.  The distinguished H^2 model is the even
 unimodular lattice of signature (3, 19): three hyperbolic planes plus two
 copies of the E8 lattice with the form negated.
 
-All of it is exact, on integers: pairings are dot products over the sparse
-Gram rows (at most four nonzeros per K3 row), and ranks, kernels, inverses,
-bases and solves share one fraction-free elimination, since degenerate versus
-non-degenerate is a discrete distinction that floating point would corrupt.
+All of it is exact, on integers.  Each vector's integer form (numerators
+over the least common denominator of its coordinates) is computed once, on
+first use, and every internal step reads that form: pairings are dot
+products over the sparse Gram rows (at most four nonzeros per K3 row), and
+ranks, kernels, inverses, bases and solves share one fraction-free
+elimination, since degenerate versus non-degenerate is a discrete
+distinction that floating point would corrupt.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -87,7 +90,7 @@ class QuadraticSpace:
 
     def dot(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         """The inner product a.G.b."""
-        return _pairings(self, [(0, *a, 0)], [(0, *b, 0)])[0][0]
+        return _pairings(self, _forms([(0, *a, 0)]), _forms([(0, *b, 0)]))[0][0]
 
 
 def hyperbolic_plane() -> QuadraticSpace:
@@ -149,11 +152,17 @@ class MukaiVector:
     def pair(self, other: "MukaiVector") -> Fraction:
         if self.space != other.space:
             raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
-        return _pairings(self.space, [self.coords], [other.coords])[0][0]
+        return _pairings(self.space, [self._form], [other._form])[0][0]
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
         return (self.rank, *self.c1, self.v2)
+
+    @cached_property
+    def _form(self) -> tuple[list[int], int]:
+        """coords as integer numerators over their least denominator, built on
+        first use and kept; not a field, so not in ==, hash or repr."""
+        return _integer_coeffs(self.coords)
 
     @classmethod
     def from_coords(cls, space: QuadraticSpace, coords: Sequence[Fraction]) -> "MukaiVector":
@@ -247,10 +256,8 @@ def _pair_forms(space: QuadraticSpace, forms, duals) -> list[list[Fraction]]:
     return table
 
 
-def _pairings(space: QuadraticSpace, xs, ys) -> list[list[Fraction]]:
-    """The pairings <x, y> of coordinate rows, each converted to integers once."""
-    x_forms = _forms(xs)
-    y_forms = x_forms if ys is xs else _forms(ys)
+def _pairings(space: QuadraticSpace, x_forms, y_forms) -> list[list[Fraction]]:
+    """The pairings <x, y> of integer forms."""
     return _pair_forms(space, x_forms, _duals(space, y_forms))
 
 
@@ -260,8 +267,8 @@ def gram_matrix(xs: Sequence[MukaiVector]) -> Matrix:
         return ()
     if any(x.space != xs[0].space for x in xs):
         raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
-    coords = [x.coords for x in xs]
-    return tuple(map(tuple, _pairings(xs[0].space, coords, coords)))
+    forms = [x._form for x in xs]
+    return tuple(map(tuple, _pairings(xs[0].space, forms, forms)))
 
 
 def gram_rank(matrix) -> int:
@@ -270,8 +277,9 @@ def gram_rank(matrix) -> int:
 
 
 def span_dim(xs: Sequence[MukaiVector]) -> int:
-    """Dimension of the span, from the coordinate matrix."""
-    return gram_rank([x.coords for x in xs])
+    """Dimension of the span: the rank of the forms' numerators, as scaling a
+    row keeps the rank."""
+    return len(_eliminate([x._form[0] for x in xs], reduce=False))
 
 
 @dataclass(frozen=True)
@@ -307,6 +315,9 @@ def _integer_rows(rows) -> list[list[int]]:
 
 def _eliminate(rows: list[list[int]], reduce: bool = True) -> list[int]:
     """Fraction-free elimination of integer rows, in place; the pivot columns.
+
+    The list `rows` is reordered and its entries replaced by new rows; no
+    row list is changed, so rows shared with cached forms are safe.
 
     A column's pivot is its first nonzero entry at or below the current
     row.  Every other row (every row below, if not `reduce`) with a nonzero
@@ -378,8 +389,9 @@ def _greedy_basis_indices(forms) -> list[int]:
                       reduce=False)
 
 
-def _combine(coeffs: Sequence[Fraction], forms, length: int) -> list[Fraction]:
-    """The coordinates of sum_b coeffs[b] * forms[b], on integer numerators."""
+def _combine_form(coeffs: Sequence[Fraction], forms, length: int) -> tuple[list[int], int]:
+    """sum_b coeffs[b] * forms[b] as a form: integer numerators over their
+    least denominator, which is unique, so equal vectors give equal forms."""
     cn, cd = _integer_coeffs(coeffs)
     den = lcm(*(d for _, d in forms))
     total = [0] * length
@@ -387,7 +399,14 @@ def _combine(coeffs: Sequence[Fraction], forms, length: int) -> list[Fraction]:
         if c:
             scale = c * (den // d)
             total = [t + scale * a for t, a in zip(total, nums)]
-    return [Fraction(t, cd * den) for t in total]
+    g = gcd(cd * den, *total)
+    return [t // g for t in total], cd * den // g
+
+
+def _combine(coeffs: Sequence[Fraction], forms, length: int) -> list[Fraction]:
+    """The coordinates of sum_b coeffs[b] * forms[b]."""
+    nums, den = _combine_form(coeffs, forms, length)
+    return [Fraction(t, den) for t in nums]
 
 
 # -- the non-degenerate-span reduction --------------------------------------
@@ -411,7 +430,7 @@ def nondegenerate_reduction(
     if any(y.space != space for y in ys):
         raise SpaceMismatch("all vectors must live in one quadratic space")
     for _ in range(space.dim + 3):
-        forms = _forms([v.coords, *(y.coords for y in ys)])
+        forms = [v._form, *(y._form for y in ys)]
         basis = [forms[i] for i in _greedy_basis_indices(forms)]
         kernel = _kernel_basis(_pair_forms(space, basis, _duals(space, basis)))
         if not kernel:
@@ -451,16 +470,12 @@ class SpanIsometry:
     # integer forms, built once; derived, so not in ==, hash or repr
     _dual_forms: list = field(init=False, repr=False, compare=False)
     _inverse_forms: list = field(init=False, repr=False, compare=False)
-    _basis_forms: list = field(init=False, repr=False, compare=False)
-    _image_forms: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = _forms(b.coords for b in self.basis)
+        basis = [b._form for b in self.basis]
         duals = _duals(self.basis[0].space, basis) if basis else []
         object.__setattr__(self, "_dual_forms", duals)
         object.__setattr__(self, "_inverse_forms", _forms(self.gram_inverse))
-        object.__setattr__(self, "_basis_forms", basis)
-        object.__setattr__(self, "_image_forms", _forms(w.coords for w in self.images))
 
     def coordinates(self, x: MukaiVector) -> list[Fraction]:
         """Coordinates of x in the source basis, via pairings.
@@ -469,17 +484,18 @@ class SpanIsometry:
         """
         if any(b.space != x.space for b in self.basis):
             raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
-        pairings = _pair_forms(x.space, _forms([x.coords]), self._dual_forms)[0]
+        pairings = _pair_forms(x.space, [x._form], self._dual_forms)[0]
         return _combine(pairings, self._inverse_forms, len(self.basis))
 
     def apply(self, x: MukaiVector) -> MukaiVector:
         coords = self.coordinates(x)
         length = x.space.dim + 2
-        if _combine(coords, self._basis_forms, length) != list(x.coords):
+        if _combine_form(coords, [b._form for b in self.basis], length) != x._form:
             raise NotInSpan("vector is not in the source span")
         if any(w.space != x.space for w in self.images):
             raise SpaceMismatch("cannot add vectors from different quadratic spaces")
-        return MukaiVector.from_coords(x.space, _combine(coords, self._image_forms, length))
+        images = [w._form for w in self.images]
+        return MukaiVector.from_coords(x.space, _combine(coords, images, length))
 
 
 def span_isometry(
@@ -501,7 +517,7 @@ def span_isometry(
     if gv != gw:
         raise GramMismatch("the two lists have different Gram matrices")
     rank = gram_rank(gv)
-    basis_idx = _greedy_basis_indices(_forms(x.coords for x in vs))
+    basis_idx = _greedy_basis_indices([x._form for x in vs])
     if rank != len(basis_idx) or rank != span_dim(ws):
         raise DegenerateSpan("both spans must be non-degenerate")
     # rank(gv) = len(basis_idx) makes the basis Gram submatrix invertible

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -439,3 +441,31 @@ def test_main_builds_no_parser_after_the_first_call(capsys, tmp_path, monkeypatc
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", refuse)
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", refuse)
     assert [run_cli(capsys, *argv) for argv in argvs] == expected
+
+
+# -- the README's examples ------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_commands() -> list[str]:
+    """Every `k3mukai ...` line inside a fenced block of README.md."""
+    commands, fenced = [], False
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("k3mukai "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_commands()) >= 9
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_cli_example_runs(capsys, monkeypatch, command):
+    monkeypatch.chdir(ROOT)  # example inputs are named relative to the root
+    code, out, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert (code, err) == (0, "")
+    json.loads(out)

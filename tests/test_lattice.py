@@ -27,6 +27,8 @@ from k3mukai.lattice import (
     NotInSpan,
     QuadraticSpace,
     SpaceMismatch,
+    _combine,
+    _combine_form,
     _forms,
     _greedy_basis_indices,
     _invert,
@@ -48,6 +50,7 @@ from k3mukai.lattice import (
     span_dim,
     span_isometry,
 )
+from k3mukai.series import _integer_coeffs
 
 F = Fraction
 K3 = k3_lattice()
@@ -443,6 +446,63 @@ def test_isometry_rejects_vector_outside_span():
     iso = span_isometry([v], [v])
     with pytest.raises(NotInSpan):
         iso.apply(point_class(K3))
+
+
+def test_isometry_on_rational_vectors_and_rejects_off_span_terms():
+    # membership in the span is decided by comparing canonical integer forms,
+    # so it must hold exactly through denominators on both sides
+    v = k3_vec(F(1, 2), F(-3, 4), c0=F(2, 3), c1=1, c6=F(1, 5))
+    p = k3_vec(0, F(1, 3), c0=1, c8=F(-1, 2))
+    assert gram_rank(gram_matrix([v, p])) == span_dim([v, p]) == 2
+    iso = span_isometry([v, p], [swap_u_blocks(v), swap_u_blocks(p)])
+    x = F(1, 3) * v + F(1, 2) * p
+    assert iso.apply(x) == swap_u_blocks(x)
+    # off the span: a new coordinate, one in p's support, and v2 alone
+    for term in (k3_vec(0, 0, c10=F(1, 7)), k3_vec(0, 0, c8=F(1, 35)), k3_vec(0, F(1, 35))):
+        with pytest.raises(NotInSpan):
+            iso.apply(x + term)
+
+
+# -- the cached integer form ------------------------------------------------------
+
+
+@st.composite
+def rational_vectors(draw):
+    """A vector with rational coordinates in a random symmetric rational space."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    upper = {(i, j): draw(fraction_entries) for i in range(dim) for j in range(i, dim)}
+    space = QuadraticSpace([[upper[min(i, j), max(i, j)] for j in range(dim)]
+                            for i in range(dim)])
+    coords = draw(st.lists(fraction_entries, min_size=dim + 2, max_size=dim + 2))
+    return MukaiVector.from_coords(space, coords)
+
+
+@given(rational_vectors())
+def test_cached_form_is_the_integer_form_of_the_coordinates(x):
+    assert x._form == _integer_coeffs(x.coords)
+    nums, den = x._form
+    assert [F(a, den) for a in nums] == list(x.coords)
+
+
+def test_cached_form_stays_out_of_eq_hash_and_repr():
+    x = k3_vec(F(1, 2), F(-5, 3), c4=1, c7=F(2, 7))
+    y = k3_vec(F(1, 2), F(-5, 3), c4=1, c7=F(2, 7))
+    before = (repr(x), hash(x))
+    assert x._form == ([21, 0, 0, 0, 0, 42, 0, 0, 12] + [0] * 14 + [-70], 42)
+    assert "_form" in vars(x) and "_form" not in vars(y)
+    assert (repr(x), hash(x)) == before == (repr(y), hash(y))
+    assert x == y and y == x
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda k: st.tuples(
+    st.lists(fraction_entries, min_size=k, max_size=k),
+    st.lists(st.lists(fraction_entries, min_size=5, max_size=5), min_size=k, max_size=k),
+)))
+def test_combine_form_gives_the_fraction_combination(data):
+    coeffs, rows = data
+    expected = [sum((c * row[i] for c, row in zip(coeffs, rows)), F(0)) for i in range(5)]
+    assert _combine(coeffs, _forms(rows), 5) == expected
+    assert _combine_form(coeffs, _forms(rows), 5) == _integer_coeffs(expected)
 
 
 # -- JSON ------------------------------------------------------------------------
