@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .lattice import (
     fingerprint,
-    gram_matrix,
     gram_rank,
     mukai_vector_from_json,
     mukai_vector_to_json,
@@ -198,6 +197,8 @@ def _vectors_from_input(path: str):
     xs = obj.get("xs", [])
     if not isinstance(xs, list):
         raise ValueError("xs must be a list of Mukai vector objects")
+    if "v" not in obj:
+        raise ValueError("the input is missing the key 'v'")
     return mukai_vector_from_json(obj["v"]), [mukai_vector_from_json(item) for item in xs]
 
 
@@ -212,12 +213,12 @@ def _cmd_fingerprint(args) -> int:
 def _cmd_span_reduce(args) -> int:
     v, xs = _vectors_from_input(args.input)
     ys = nondegenerate_reduction(v, xs)
-    full = [v, *ys]
+    fp = fingerprint(v, ys)  # the Gram matrix of [v, *ys]
     doc = {
         "ys": [mukai_vector_to_json(y) for y in ys],
-        "fingerprint": [[str(x) for x in row] for row in fingerprint(v, ys).matrix],
-        "gram_rank": gram_rank(gram_matrix(full)),
-        "span_dim": span_dim(full),
+        "fingerprint": [[str(x) for x in row] for row in fp.matrix],
+        "gram_rank": gram_rank(fp.matrix),
+        "span_dim": span_dim([v, *ys]),
     }
     _emit(doc, args.format)
     return EXIT_OK

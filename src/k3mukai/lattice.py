@@ -16,7 +16,13 @@ first use, and every internal step reads that form: pairings are dot
 products over the sparse Gram rows (at most four nonzeros per K3 row), and
 ranks, kernels, inverses, bases and solves share one fraction-free
 elimination, since degenerate versus non-degenerate is a discrete
-distinction that floating point would corrupt.
+distinction that floating point would corrupt.  Inside the module a Gram
+matrix stays as integer numerators N, with <x_i, x_j> = N_ij / (den d_i d_j)
+for den the space's Gram denominator and d_i the forms' denominators;
+Fractions are built only at the public boundary: the value of
+`gram_matrix`, a span isometry's `gram_inverse` and `coordinates`, and the
+coordinates of each vector returned (plus, once per reduction round, those
+of the radical vector w that `_combine` returns).
 """
 
 from __future__ import annotations
@@ -168,6 +174,17 @@ class MukaiVector:
     def from_coords(cls, space: QuadraticSpace, coords: Sequence[Fraction]) -> "MukaiVector":
         return cls(space, coords[0], tuple(coords[1:-1]), coords[-1])
 
+    @classmethod
+    def _from_form(cls, space: QuadraticSpace, form: tuple[list[int], int]) -> "MukaiVector":
+        """The vector of a form (numerators over their least, positive
+        denominator), with that form as its cached `_form`."""
+        nums, den = form
+        coords = [Fraction(a, den) for a in nums]
+        x = cls.__new__(cls)
+        x.__dict__.update(space=space, rank=coords[0], c1=tuple(coords[1:-1]),
+                          v2=coords[-1], _form=form)
+        return x
+
     def is_zero(self) -> bool:
         return self.rank == 0 and self.v2 == 0 and all(x == 0 for x in self.c1)
 
@@ -230,35 +247,44 @@ def _forms(rows) -> list[tuple[list[int], int]]:
 
 
 def _duals(space: QuadraticSpace, forms) -> list[tuple]:
-    """(rank, G.c1, v2, denominator) per form; G = G^T, so G.c1 sums rows of c1's support."""
+    """(rank, G.c1, v2) per form; G = G^T, so G.c1 sums rows of c1's support."""
     rows, _ = space._sparse
     duals = []
-    for nums, d in forms:
+    for nums, _ in forms:
         g_c1 = [0] * space.dim
         for j, c in enumerate(nums[1:-1]):
             for i, g in rows[j] if c else ():
                 g_c1[i] += g * c
-        duals.append((nums[0], g_c1, nums[-1], d))
+        duals.append((nums[0], g_c1, nums[-1]))
     return duals
 
 
-def _pair_forms(space: QuadraticSpace, forms, duals) -> list[list[Fraction]]:
-    """Pairings as integer dot products over each form's support, one Fraction each."""
+def _pair_nums(space: QuadraticSpace, forms, duals) -> list[list[int]]:
+    """Pairing numerators: <x_i, y_j> = N[i][j] / (den * d_i * d_j), with den
+    the space's Gram denominator and d_i, d_j the denominators of the forms
+    of x_i and of y_j (whose duals are given).  As a matrix, G = D^-1 N D^-1 / den."""
     _, den = space._sparse
     table = []
-    for nums, d in forms:
+    for nums, _ in forms:
         r, n = nums[0], nums[-1]
         support = [(i, a) for i, a in enumerate(nums[1:-1]) if a]
-        table.append([
-            Fraction(sum(a * gy[i] for i, a in support) - den * (r * yn + yr * n), den * d * yd)
-            for yr, gy, yn, yd in duals
-        ])
+        table.append([sum(a * gy[i] for i, a in support) - den * (r * yn + yr * n)
+                      for yr, gy, yn in duals])
     return table
 
 
+def _gram_nums(xs: Sequence[MukaiVector]) -> list[list[int]]:
+    """The pairing numerators of vectors of one space among themselves."""
+    forms = [x._form for x in xs]
+    return _pair_nums(xs[0].space, forms, _duals(xs[0].space, forms)) if xs else []
+
+
 def _pairings(space: QuadraticSpace, x_forms, y_forms) -> list[list[Fraction]]:
-    """The pairings <x, y> of integer forms."""
-    return _pair_forms(space, x_forms, _duals(space, y_forms))
+    """The pairings <x, y> of integer forms, one Fraction each."""
+    _, den = space._sparse
+    nums = _pair_nums(space, x_forms, _duals(space, y_forms))
+    return [[Fraction(p, den * d * e) for p, (_, e) in zip(row, y_forms)]
+            for row, (_, d) in zip(nums, x_forms)]
 
 
 def gram_matrix(xs: Sequence[MukaiVector]) -> Matrix:
@@ -272,8 +298,10 @@ def gram_matrix(xs: Sequence[MukaiVector]) -> Matrix:
 
 
 def gram_rank(matrix) -> int:
-    """Exact rank over the rationals, by fraction-free elimination."""
-    return len(_eliminate(_integer_rows(matrix), reduce=False))
+    """Exact rank over the rationals, by fraction-free elimination of the rows,
+    each times the lcm of its denominators (which keeps the row space)."""
+    return len(_eliminate([_integer_coeffs([_frac(x) for x in row])[0] for row in matrix],
+                          reduce=False))
 
 
 def span_dim(xs: Sequence[MukaiVector]) -> int:
@@ -306,11 +334,6 @@ def fingerprint(v: MukaiVector, xs: Sequence[MukaiVector]) -> FingerprintMatrix:
 
 
 # -- exact elimination on integers ------------------------------------------
-
-
-def _integer_rows(rows) -> list[list[int]]:
-    """Each row times the lcm of its denominators: the row space is kept."""
-    return [_integer_coeffs([_frac(x) for x in row])[0] for row in rows]
 
 
 def _eliminate(rows: list[list[int]], reduce: bool = True) -> list[int]:
@@ -349,33 +372,36 @@ def _eliminate(rows: list[list[int]], reduce: bool = True) -> list[int]:
     return pivots
 
 
-def _rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and pivot columns of a rational matrix."""
-    m = _integer_rows(rows)
-    pivots = _eliminate(m)
-    reduced = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(m, pivots)]
-    return reduced + [[Fraction(0)] * len(row) for row in m[len(pivots):]], pivots
+def _kernel_nums(rows: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Basis of the right kernel of an integer matrix, ordered by free column
+    index, as integer vectors over one denominator: (vectors, scale).
 
-
-def _kernel_basis(matrix: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, ordered by free column index."""
-    rref, pivots = _rref(matrix)
-    n_cols = len(matrix[0]) if matrix else 0
+    Eliminates `rows` in place; each vector is scale times the one with 1
+    at its free column, 0 at the others, and minus the reduced row echelon
+    entries of that column at the pivots.
+    """
+    n_cols = len(rows[0]) if rows else 0
+    pivots = _eliminate(rows)
+    scale = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
     basis = []
     for fc in (c for c in range(n_cols) if c not in pivots):
-        vec = [Fraction(0)] * n_cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rref[r][fc]
-        basis.append(tuple(vec))
-    return basis
+        vec = [0] * n_cols
+        vec[fc] = scale
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc] * (scale // row[pc])
+        basis.append(vec)
+    return basis, scale
 
 
-def _invert(matrix: Sequence[Sequence[Fraction]]) -> list[list[Fraction]] | None:
-    n = len(matrix)
-    rref, pivots = _rref([[*row, *(int(i == j) for j in range(n))]
-                          for i, row in enumerate(matrix)])
-    return [row[n:] for row in rref] if pivots == list(range(n)) else None
+def _inverse_nums(rows: list[list[int]]) -> tuple[list[list[int]], int] | None:
+    """The inverse of a square integer matrix as integer rows over one
+    denominator q > 0, from one elimination of [rows | I]; None if singular."""
+    n = len(rows)
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    if _eliminate(m) != list(range(n)):
+        return None
+    q = lcm(*(row[i] for i, row in enumerate(m)))
+    return [[a * (q // row[i]) for a in row[n:]] for i, row in enumerate(m)], q
 
 
 def _greedy_basis_indices(forms) -> list[int]:
@@ -389,18 +415,28 @@ def _greedy_basis_indices(forms) -> list[int]:
                       reduce=False)
 
 
-def _combine_form(coeffs: Sequence[Fraction], forms, length: int) -> tuple[list[int], int]:
-    """sum_b coeffs[b] * forms[b] as a form: integer numerators over their
-    least denominator, which is unique, so equal vectors give equal forms."""
-    cn, cd = _integer_coeffs(coeffs)
+def _normal_form(nums: list[int], den: int) -> tuple[list[int], int]:
+    """nums / den as a form: over the least denominator, which is positive,
+    so equal vectors give equal forms."""
+    g = gcd(den, *nums)
+    g = -g if den < 0 else g
+    return [a // g for a in nums], den // g
+
+
+def _combine_nums(cn: Sequence[int], cd: int, forms, length: int) -> tuple[list[int], int]:
+    """sum_b (cn[b] / cd) * forms[b] as a form; cd is any nonzero integer."""
     den = lcm(*(d for _, d in forms))
     total = [0] * length
     for c, (nums, d) in zip(cn, forms):
         if c:
             scale = c * (den // d)
             total = [t + scale * a for t, a in zip(total, nums)]
-    g = gcd(cd * den, *total)
-    return [t // g for t in total], cd * den // g
+    return _normal_form(total, cd * den)
+
+
+def _combine_form(coeffs: Sequence[Fraction], forms, length: int) -> tuple[list[int], int]:
+    """sum_b coeffs[b] * forms[b] as a form."""
+    return _combine_nums(*_integer_coeffs(coeffs), forms, length)
 
 
 def _combine(coeffs: Sequence[Fraction], forms, length: int) -> list[Fraction]:
@@ -432,10 +468,11 @@ def nondegenerate_reduction(
     for _ in range(space.dim + 3):
         forms = [v._form, *(y._form for y in ys)]
         basis = [forms[i] for i in _greedy_basis_indices(forms)]
-        kernel = _kernel_basis(_pair_forms(space, basis, _duals(space, basis)))
+        # the basis Gram matrix is D^-1 N D^-1 / den, so its kernel is D kernel(N)
+        kernel, _ = _kernel_nums(_pair_nums(space, basis, _duals(space, basis)))
         if not kernel:
             return ys
-        w = _combine(kernel[0], basis, space.dim + 2)
+        w = _combine([u * d for u, (_, d) in zip(kernel[0], basis)], basis, space.dim + 2)
         # one elimination on the columns (w, v, basis, ys): its pivots extend
         # {w, v} to a basis of the span (w != 0, and v.v >= 2 while w.v = 0),
         # and its first row holds the w-coordinate of each y in that basis
@@ -447,12 +484,15 @@ def nondegenerate_reduction(
             raise LatticeError("w and v do not start a basis of the span")
         if pivots[-1] >= first_y:
             raise LatticeError("an x_i lies outside the span of the reduction basis")
-        top, d_w = rows[0], columns[0][1]
+        top, w_nums = rows[0], columns[0][0]
         reduced = []
         for col, y in enumerate(ys, first_y):
-            c = Fraction(top[col] * d_w, top[0] * columns[col][1])
-            coords = [a - c * b if b else a for a, b in zip(y.coords, w)]
-            reduced.append(MukaiVector.from_coords(space, coords) if c else y)
+            if top[col]:
+                # y - c w with c = top[col] d_w / (top[0] d_y), on numerators
+                nums, d = y._form
+                y = MukaiVector._from_form(space, _normal_form(
+                    [top[0] * a - top[col] * b for a, b in zip(nums, w_nums)], top[0] * d))
+            reduced.append(y)
         ys = reduced
     raise AssertionError("span dimension failed to drop; this cannot happen")
 
@@ -467,35 +507,49 @@ class SpanIsometry:
     basis: tuple[MukaiVector, ...]
     images: tuple[MukaiVector, ...]
     gram_inverse: Matrix
-    # integer forms, built once; derived, so not in ==, hash or repr
+    # integer data, built once; derived, so not in ==, hash or repr
     _dual_forms: list = field(init=False, repr=False, compare=False)
-    _inverse_forms: list = field(init=False, repr=False, compare=False)
+    _solve: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        basis = [b._form for b in self.basis]
-        duals = _duals(self.basis[0].space, basis) if basis else []
-        object.__setattr__(self, "_dual_forms", duals)
-        object.__setattr__(self, "_inverse_forms", _forms(self.gram_inverse))
+        forms, k = [b._form for b in self.basis], len(self.basis)
+        space = self.basis[0].space if forms else None
+        object.__setattr__(self, "_dual_forms", _duals(space, forms) if forms else [])
+        # <x, v_a> = P_a / (den d_x d_a) with P the pairing numerators, so the
+        # coordinates G^-1 <x, v> of x are A.P / (q d_x) with A / q = G^-1 D^-1 / den;
+        # over G^-1's common denominator e and the lcm m of the d_a, q = e den m
+        nums, e = _integer_coeffs([g for row in self.gram_inverse for g in row])
+        m = lcm(*(d for _, d in forms))
+        rows = [[a * (m // d) for a, (_, d) in zip(nums[i * k:(i + 1) * k], forms)]
+                for i in range(k)]
+        den = space._sparse[1] if forms else 1
+        object.__setattr__(self, "_solve", (rows, e * den * m))
+
+    def _coefficients(self, x: MukaiVector) -> tuple[list[int], int]:
+        """Coordinates of x in the source basis, as integers over one denominator."""
+        if any(b.space != x.space for b in self.basis):
+            raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
+        pairings = _pair_nums(x.space, [x._form], self._dual_forms)[0]
+        rows, q = self._solve
+        return [sum(a * p for a, p in zip(row, pairings)) for row in rows], q * x._form[1]
 
     def coordinates(self, x: MukaiVector) -> list[Fraction]:
         """Coordinates of x in the source basis, via pairings.
 
         In a non-degenerate span, x = sum_ab <x, v_a> (G^-1)_ab v_b.
         """
-        if any(b.space != x.space for b in self.basis):
-            raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
-        pairings = _pair_forms(x.space, [x._form], self._dual_forms)[0]
-        return _combine(pairings, self._inverse_forms, len(self.basis))
+        nums, den = self._coefficients(x)
+        return [Fraction(c, den) for c in nums]
 
     def apply(self, x: MukaiVector) -> MukaiVector:
-        coords = self.coordinates(x)
+        nums, den = self._coefficients(x)
         length = x.space.dim + 2
-        if _combine_form(coords, [b._form for b in self.basis], length) != x._form:
+        if _combine_nums(nums, den, [b._form for b in self.basis], length) != x._form:
             raise NotInSpan("vector is not in the source span")
         if any(w.space != x.space for w in self.images):
             raise SpaceMismatch("cannot add vectors from different quadratic spaces")
         images = [w._form for w in self.images]
-        return MukaiVector.from_coords(x.space, _combine(coords, images, length))
+        return MukaiVector._from_form(x.space, _combine_nums(nums, den, images, length))
 
 
 def span_isometry(
@@ -507,26 +561,35 @@ def span_isometry(
     chosen among the vs; the remaining vectors are expressed through inverse-
     Gram coordinates and checked to map correctly.  No extension to an
     isometry of the whole lattice is attempted.
+
+    All of it reads the Gram numerators N (see `_pair_nums`): the Gram
+    matrices are equal when N_v and N_w agree after cross-multiplying by the
+    forms' denominators, the rank is that of N, and the basis Gram inverse is
+    den D N_B^-1 D.
     """
     if len(vs) != len(ws):
         raise GramMismatch("vector lists must have the same length")
     if any(x.space != vs[0].space for x in [*vs, *ws]):
         raise SpaceMismatch("all vectors must live in one quadratic space")
-    gv = gram_matrix(vs)
-    gw = gram_matrix(ws)
-    if gv != gw:
+    nv, nw = _gram_nums(vs), _gram_nums(ws)
+    dv, dw = [x._form[1] for x in vs], [x._form[1] for x in ws]
+    if any(a * dw[i] * dw[j] != b * dv[i] * dv[j]
+           for i, (row_v, row_w) in enumerate(zip(nv, nw))
+           for j, (a, b) in enumerate(zip(row_v, row_w))):
         raise GramMismatch("the two lists have different Gram matrices")
-    rank = gram_rank(gv)
+    rank = len(_eliminate(list(nv), reduce=False))
     basis_idx = _greedy_basis_indices([x._form for x in vs])
     if rank != len(basis_idx) or rank != span_dim(ws):
         raise DegenerateSpan("both spans must be non-degenerate")
-    # rank(gv) = len(basis_idx) makes the basis Gram submatrix invertible
-    gram_inv = _invert([[gv[i][j] for j in basis_idx] for i in basis_idx])
-    iso = SpanIsometry(
-        tuple(vs[i] for i in basis_idx), tuple(ws[i] for i in basis_idx), _matrix(gram_inv)
-    )
+    # rank(N) = len(basis_idx) makes the basis submatrix N_B invertible
+    inverse, q = _inverse_nums([[nv[i][j] for j in basis_idx] for i in basis_idx])
+    den = vs[0].space._sparse[1] if vs else 1
+    d = [dv[i] for i in basis_idx]
+    gram_inv = tuple(tuple(Fraction(den * d[i] * a * d[j], q) for j, a in enumerate(row))
+                     for i, row in enumerate(inverse))
+    iso = SpanIsometry(tuple(vs[i] for i in basis_idx), tuple(ws[i] for i in basis_idx), gram_inv)
     for x, w in zip(vs, ws):
-        if iso.apply(x) != w:
+        if iso.apply(x)._form != w._form:
             raise GramMismatch("the span isometry does not map each v_i to w_i")
     return iso
 
@@ -549,12 +612,17 @@ def mukai_vector_to_json(v: MukaiVector) -> dict:
 def mukai_vector_from_json(obj: dict) -> MukaiVector:
     if not isinstance(obj, dict) or not isinstance(obj.get("c1"), list):
         raise ValueError("a Mukai vector must be a JSON object with a list c1")
+    for key in ("rank", "v2", "space"):
+        if key not in obj:
+            raise ValueError(f"a Mukai vector is missing the key {key!r}")
     space_spec = obj["space"]
     if space_spec == "k3":
         space = k3_lattice()
     else:
-        space = QuadraticSpace([[_json_number(x, "gram entry") for x in row]
-                                for row in space_spec["gram"]])
+        gram = space_spec.get("gram") if isinstance(space_spec, dict) else None
+        if not isinstance(gram, list) or not all(isinstance(row, list) for row in gram):
+            raise ValueError('space must be "k3" or an object whose gram is a list of lists')
+        space = QuadraticSpace([[_json_number(x, "gram entry") for x in row] for row in gram])
     return MukaiVector(
         space,
         _json_number(obj["rank"], "rank"),

@@ -297,6 +297,36 @@ def test_fingerprint_input_xs_object_is_input_error(capsys, tmp_path):
     assert err == "error: xs must be a list of Mukai vector objects\n"
 
 
+@pytest.mark.parametrize("command", ["fingerprint", "span-reduce"])
+@pytest.mark.parametrize("space", [
+    {"gram": "1"}, {"gram": ["1"]}, {"gram": {"1": 0}}, {"gram": 1}, {"gram": [["1"], 1]},
+    {}, [["1"]], "U",
+], ids=["text", "list-of-text", "object", "number", "mixed-rows", "no-gram", "list", "name"])
+def test_vector_input_malformed_gram_is_input_error(capsys, tmp_path, command, space):
+    # the first three once loaded as [[1]], and fingerprint printed [["2"]]
+    path = tmp_path / "input.json"
+    v = {"rank": "1", "c1": ["0"], "v2": "-1", "space": space}
+    path.write_text(json.dumps({"v": v, "xs": []}))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == 'error: space must be "k3" or an object whose gram is a list of lists\n'
+
+
+@pytest.mark.parametrize("command", ["fingerprint", "span-reduce"])
+@pytest.mark.parametrize("key", ["v", "rank", "v2", "space"])
+def test_vector_input_missing_key_is_named(capsys, tmp_path, command, key):
+    doc = {"v": _vector_payload(), "xs": [_vector_payload()]}
+    if key == "v":
+        del doc["v"]
+        expected = "error: the input is missing the key 'v'\n"
+    else:
+        del doc["xs"][0][key]
+        expected = f"error: a Mukai vector is missing the key '{key}'\n"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, command, "--input", str(path)) == (2, "", expected)
+
+
 def test_exponent_strings_are_input_errors(capsys, tmp_path):
     # Fraction("1e999999999") would build a billion-digit integer first
     big, tiny = "1e999999999", "1e-999999999"

@@ -29,11 +29,11 @@ from k3mukai.lattice import (
     SpaceMismatch,
     _combine,
     _combine_form,
+    _eliminate,
     _forms,
     _greedy_basis_indices,
-    _invert,
-    _kernel_basis,
-    _rref,
+    _inverse_nums,
+    _kernel_nums,
     e8_gram,
     fingerprint,
     gram_matrix,
@@ -260,16 +260,36 @@ def rational_matrices(draw, square=False):
     return rows
 
 
+def integer_rows(rows):
+    """Each row times the lcm of its denominators, which keeps the row space
+    (so the reduced row echelon form and the kernel)."""
+    return [nums for nums, _ in _forms(rows)]
+
+
 @given(rational_matrices())
 def test_integer_kernel_matches_fraction_oracle(rows):
-    assert _rref(rows) == fraction_rref(rows)
-    assert _kernel_basis(rows) == fraction_kernel_basis(rows)
+    m = integer_rows(rows)
+    pivots = _eliminate(m)
+    # row r over its pivot is row r of the reduced row echelon form
+    rref = [[F(a, row[pc]) for a in row] for row, pc in zip(m, pivots)]
+    rref += [[F(0)] * len(row) for row in m[len(pivots):]]
+    assert (rref, pivots) == fraction_rref(rows)
+    kernel, scale = _kernel_nums(integer_rows(rows))
+    assert [tuple(F(a, scale) for a in vec) for vec in kernel] == fraction_kernel_basis(rows)
     assert gram_rank(rows) == len(fraction_rref(rows)[1])
 
 
 @given(rational_matrices(square=True))
 def test_integer_inverse_matches_fraction_oracle(rows):
-    assert _invert(rows) == fraction_inverse(rows)
+    # row i of the integer matrix is s_i times row i of R, so R^-1 = (S R)^-1 S
+    scales = [s for _, s in _forms(rows)]
+    inverse = _inverse_nums(integer_rows(rows))
+    if inverse is None:
+        assert fraction_inverse(rows) is None
+    else:
+        m, q = inverse
+        assert q > 0
+        assert [[F(a * s, q) for a, s in zip(row, scales)] for row in m] == fraction_inverse(rows)
 
 
 @given(rational_matrices())
@@ -461,6 +481,70 @@ def test_isometry_on_rational_vectors_and_rejects_off_span_terms():
     for term in (k3_vec(0, 0, c10=F(1, 7)), k3_vec(0, 0, c8=F(1, 35)), k3_vec(0, F(1, 35))):
         with pytest.raises(NotInSpan):
             iso.apply(x + term)
+
+
+def test_isometry_compares_grams_across_denominators():
+    # Gram numerators N with <x_i, x_j> = N_ij / (d_i d_j): e and e/2 share
+    # their numerators but not their Grams, while e + f and (e + 4f)/2 share
+    # their Grams (both square 2) but not their numerators
+    e, f = mv(U, 0, (1, 0), 0), mv(U, 0, (0, 1), 0)
+    with pytest.raises(GramMismatch):
+        span_isometry([e + f], [F(1, 2) * (e + f)])
+    with pytest.raises(GramMismatch):
+        span_isometry([F(1, 2) * (e + f)], [e + f])
+    with pytest.raises(GramMismatch):
+        span_isometry([e + f, e], [e + f, F(1, 2) * e])
+    a, b = e + f, F(1, 2) * (e + 4 * f)
+    assert a._form[1] == 1 and b._form[1] == 2 and gram_matrix([a]) == gram_matrix([b])
+    assert span_isometry([a], [b]).apply(a) == b
+    assert span_isometry([b], [a]).apply(b) == a
+
+
+fraction_entries_5 = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def rational_spans(draw):
+    """(v, xs) in a random symmetric rational space with v.v >= 2; the space
+    sometimes has a zero Gram row, whose basis vector is then in every radical."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    upper = {(i, j): draw(fraction_entries_5) for i in range(dim) for j in range(i, dim)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]
+    null = draw(st.one_of(st.none(), st.integers(0, dim - 1)))
+    if null is not None:
+        gram = [[F(0) if null in (i, j) else g for j, g in enumerate(row)]
+                for i, row in enumerate(gram)]
+    space = QuadraticSpace(gram)
+    d = draw(st.lists(fraction_entries_5, min_size=dim, max_size=dim))
+    c = draw(st.fractions(min_value=2, max_value=8, max_denominator=5))
+    v = mv(space, 1, d, (space.dot(d, d) - c) / 2)  # v.v = c
+    coords = st.lists(fraction_entries_5, min_size=dim + 2, max_size=dim + 2)
+    xs = [MukaiVector.from_coords(space, x) for x in draw(st.lists(coords, max_size=4))]
+    if null is not None:
+        e = [int(i == null + 1) for i in range(dim + 2)]
+        xs += [MukaiVector.from_coords(space, e) * draw(fraction_entries_5)
+               for _ in range(draw(st.integers(0, 2)))]
+    return v, draw(st.permutations(xs))
+
+
+@given(rational_spans())
+def test_integer_path_forms_and_gram_inverse_in_rational_spaces(span):
+    # a vector built from an integer form carries it as its cached form; a
+    # wrongly seeded form would break == of forms without any error
+    v, xs = span
+    ys = nondegenerate_reduction(v, xs)
+    assert fingerprint(v, ys) == fingerprint(v, xs)
+    for y in ys:
+        assert y._form == _integer_coeffs(y.coords)
+    full = [v, *ys]
+    iso = span_isometry(full, [-x for x in full])
+    basis = list(iso.basis)
+    assert [list(row) for row in iso.gram_inverse] == fraction_inverse(gram_matrix(basis))
+    mixed = sum((F(k + 1, 2) * x for k, x in enumerate(full)), full[0] * 0)
+    for x in [*full, mixed]:
+        image = iso.apply(x)
+        assert image == -x
+        assert image._form == _integer_coeffs(image.coords)
 
 
 # -- the cached integer form ------------------------------------------------------
