@@ -217,8 +217,19 @@ def k_class_to_json(k: KClassInvariants) -> dict:
     }
 
 
-def k_class_from_json(obj: dict) -> KClassInvariants:
-    return KClassInvariants(**{k: _json_number(obj[k], k) for k in ("rank", "c1sq", "c1L", "v2")})
+def _require_keys(obj, name: str, keys) -> None:
+    """Refuse `obj` unless it is a JSON object with every one of `keys`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{name} is missing the key {key!r}")
+
+
+def k_class_from_json(obj: dict, name: str = "a K-class") -> KClassInvariants:
+    keys = ("rank", "c1sq", "c1L", "v2")
+    _require_keys(obj, name, keys)
+    return KClassInvariants(**{k: _json_number(obj[k], k) for k in keys})
 
 
 def moduli_data_to_json(m: ModuliData) -> dict:
@@ -232,10 +243,11 @@ def moduli_data_to_json(m: ModuliData) -> dict:
 
 
 def moduli_data_from_json(obj: dict) -> ModuliData:
+    _require_keys(obj, "the input", ("rho", "n", "alpha", "Lsq", "u"))
     return ModuliData(
         rho=int(_json_number(obj["rho"], "rho", integer=True)),
         n=int(_json_number(obj["n"], "n", integer=True)),
-        alpha=k_class_from_json(obj["alpha"]),
+        alpha=k_class_from_json(obj["alpha"], "alpha"),
         Lsq=_json_number(obj["Lsq"], "Lsq"),
         u=_json_number(obj["u"], "u"),
     )
@@ -252,9 +264,10 @@ def reduction_target_to_json(t: ReductionTarget) -> dict:
 
 
 def reduction_target_from_json(obj: dict) -> ReductionTarget:
+    _require_keys(obj, "the input", ("n", "beta", "Lsq", "u_prime"))
     return ReductionTarget(
         n=int(_json_number(obj["n"], "n", integer=True)),
-        beta=k_class_from_json(obj["beta"]),
+        beta=k_class_from_json(obj["beta"], "beta"),
         Lsq=_json_number(obj["Lsq"], "Lsq"),
         u_prime=_json_number(obj["u_prime"], "u_prime"),
         warnings=tuple(obj.get("warnings", ())),

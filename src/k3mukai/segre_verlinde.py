@@ -35,18 +35,21 @@ one table of these maps, copied from the formulas above.  The numbers need
 no series reversion: by Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z',
 and for z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.  Merged
 (_merged), each integrand has at most two bases, so each number is a finite
-binomial sum (_binomials), as in Marian-Oprea-Pandharipande, "Segre classes
-and Hilbert schemes of points".  The substitution nu = t (1+at)^(-1) is a
-map rule, 1 + c nu = (1 + (a+c)t) / (1 + at), and check_correspondence reads
-each quotient LHS/RHS from the power sums of its merged map.  build_vwx,
-build_fg and segre_variable_change expand the table for the tests.
+binomial sum, as in Marian-Oprea-Pandharipande, "Segre classes and Hilbert
+schemes of points".  _lagrange_buermann evaluates that sum by the recurrence
+of a product of two binomial powers, on integers, and builds one Fraction at
+the end; the tests check it against the two-list binomial convolution.  The
+substitution nu = t (1+at)^(-1) is a map rule, 1 + c nu = (1 + (a+c)t) / (1 + at),
+and check_correspondence reads each quotient LHS/RHS from the power sums of
+its merged map.  build_vwx, build_fg and segre_variable_change expand the
+table for the tests (_binomials).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import factorial, lcm, prod
 
 from .series import TruncatedSeries, _check_ints, _frac, constant
 
@@ -142,14 +145,31 @@ def _lagrange_buermann(weighted, change, n: int) -> Fraction:
     """[z^n] H(t(z)) for H the product of the weighted maps, z = t (1+ct)^e.
 
     [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z' with change = (c, e), and
-    (t/z)^(n+1) z' = (1+ct)^(-en-1) (1+c(1+e)t) is one more map; at most two bases remain.
+    (t/z)^(n+1) z' = (1+ct)^(-en-1) (1+c(1+e)t) is one more map; at most two
+    bases remain, so [t^n] is a sum of products of two binomial coefficients.
+    It is read off a recurrence instead: H = (1+at)^E_a (1+bt)^E_b solves
+    (1+at)(1+bt) H' = (E_a a (1+bt) + E_b b (1+at)) H, so with P = E_a a + E_b b
+
+        (m+1) h_(m+1) = (P - (a+b) m) h_m + ab (E_a + E_b + 1 - m) h_(m-1),
+
+    and h_m = N_m / (m! L^m), L the least common denominator of the
+    multipliers, puts the loop on integers N_m.  A missing base is (0, 0),
+    which makes ab = 0 and the recurrence first order.  The tests check the
+    result against the binomial sum itself.
     """
     c, e = change
     merged = _merged([*weighted, (1, [(c, -e * n - 1), (c * (1 + e), 1)])])
     if len(merged) > 2:
         raise ValueError(f"the integrand has {len(merged)} bases, the closed form at most two")
     (a, e_a), (b, e_b) = [*merged.items(), (0, 0), (0, 0)][:2]
-    return sum(x * y for x, y in zip(_binomials(a, e_a, n), reversed(_binomials(b, e_b, n))))
+    mults = (e_a * a + e_b * b, a + b, a * b, a * b * (e_a + e_b + 1))
+    den = lcm(*(x.denominator for x in mults))
+    p, sum_ab, ab, q = (int(x * den) for x in mults)
+    ab, q = ab * den, q * den
+    prev, cur = 0, 1
+    for m in range(n):
+        prev, cur = cur, (p - sum_ab * m) * cur + m * (q - ab * m) * prev
+    return Fraction(cur, factorial(n) * den**n)
 
 
 def _series(weighted, order: int) -> TruncatedSeries:
@@ -184,7 +204,8 @@ def segre_number(params: SegreParams) -> Fraction:
     (1+abt)^(-1) of X^2 when the bases are merged, so the number is
     sum_k binom(E_a, k) binom(E_b, n-k) a^k b^(n-k) with
     E_a = c2 (rho-s) + c1sq (s-rho-1)/2 + s^2 - 2s - (rho-1)^2 s/rho - an - 1
-    and E_b = c2 s + c1sq (1-s)/2 + 1 - s^2.
+    and E_b = c2 s + c1sq (1-s)/2 + 1 - s^2, evaluated by the integer
+    recurrence of _lagrange_buermann.
     """
     v, w, x, change = _segre_factors(params.rho, params.s)
     return _lagrange_buermann([(params.c2, v), (params.c1sq, w), (2, x)], change, params.n)
@@ -201,7 +222,8 @@ def verlinde_number(params: VerlindeParams) -> Fraction:
 
     The factor (nu/w)^(n+1) w' brings (1 + q nu)^1, which cancels the
     (1 + q nu)^(-1) of F when the bases are merged; the one base left is 1,
-    so the number is binom(chiL + (1-q)(n-1), n) with q = r^2/rho^2.
+    so the number is binom(chiL + (1-q)(n-1), n) with q = r^2/rho^2, which
+    _lagrange_buermann's recurrence reaches as a first-order one.
     """
     f, g, change = _verlinde_factors(params.rho, params.r)
     return _lagrange_buermann([(1, f), (params.chiL, g)], change, params.n)

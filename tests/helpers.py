@@ -95,6 +95,19 @@ def verlinde_by_reversion(params, order: int) -> Fraction:
     return series_in_nu.compose(w_of_nu.revert()).coeff(params.n)
 
 
+def binomial_convolution(a, e_a, b, e_b, n: int) -> Fraction:
+    """[t^n] of (1 + at)^e_a (1 + bt)^e_b as the two-list convolution
+    sum_k binom(e_a, k) a^k binom(e_b, n-k) b^(n-k), each list built by the
+    ratio loop binom(e, k+1) c^(k+1) = binom(e, k) c^k (e-k) c / (k+1)."""
+    def terms(c, e):
+        out = [Fraction(1)]
+        for k in range(n):
+            out.append(out[-1] * (e - k) * c / (k + 1))
+        return out
+
+    return sum(x * y for x, y in zip(terms(a, e_a), reversed(terms(b, e_b))))
+
+
 def lagrange_coefficient(h: TruncatedSeries, z: TruncatedSeries, n: int) -> Fraction:
     """[z^n] of h(t(z)) via the Lagrange-Buermann formula.
 

@@ -327,6 +327,32 @@ def test_vector_input_missing_key_is_named(capsys, tmp_path, command, key):
     assert run_cli(capsys, command, "--input", str(path)) == (2, "", expected)
 
 
+@pytest.mark.parametrize("command", ["reduce", "dim2"])
+@pytest.mark.parametrize("key", ["rho", "n", "alpha", "Lsq", "u", "rank", "c1sq", "c1L", "v2"])
+def test_moduli_input_missing_key_is_named(capsys, tmp_path, command, key):
+    # these once printed the bare key, as in "error: 'rho'"
+    doc = _moduli_payload()
+    if key in doc:
+        del doc[key]
+        expected = f"error: the input is missing the key '{key}'\n"
+    else:
+        del doc["alpha"][key]
+        expected = f"error: alpha is missing the key '{key}'\n"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli(capsys, command, "--input", str(path)) == (2, "", expected)
+
+
+@pytest.mark.parametrize("command", ["reduce", "dim2"])
+@pytest.mark.parametrize("alpha", [[1], "1", 1, None], ids=["list", "text", "number", "null"])
+def test_moduli_input_alpha_not_an_object_is_input_error(capsys, tmp_path, command, alpha):
+    # a list once printed "error: list indices must be integers or slices, not str"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_moduli_payload(alpha=alpha)))
+    expected = "error: alpha must be a JSON object\n"
+    assert run_cli(capsys, command, "--input", str(path)) == (2, "", expected)
+
+
 def test_exponent_strings_are_input_errors(capsys, tmp_path):
     # Fraction("1e999999999") would build a billion-digit integer first
     big, tiny = "1e999999999", "1e-999999999"

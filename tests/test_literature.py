@@ -62,3 +62,17 @@ def test_lehn_formula_pulled_back_to_rank_rho(rho):
         for n in range(11):
             expected = 2**n * binom(chi - 2 * n, n)
             assert segre_number(SegreParams(rho, -rho, int(c2), h2, n)) == expected
+
+
+@pytest.mark.parametrize("n", [100, 111, 120])
+def test_literature_formulas_at_large_n(n):
+    """Lehn's and Ellingsrud-Goettsche-Lehn's formulas, as above, far past
+    the grids there: a wrong term of the numbers' recurrence that cancels at
+    small n would show here."""
+    for h2 in (-18, 0, 6, 22):
+        chi = Fraction(h2, 2) + 2
+        assert segre_number(SegreParams(1, -1, h2, h2, n)) == 2**n * binom(chi - 2 * n, n)
+    for r in (0, 1, 3):
+        for chi_l in (-7, 2, 150):
+            expected = binom(chi_l - (r * r - 1) * (n - 1), n)
+            assert verlinde_number(VerlindeParams(1, r, chi_l, n)) == expected

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import test_golden
 from helpers import (
+    binomial_convolution,
     correspondence_by_composition,
     fg_by_powers,
     lagrange_coefficient,
@@ -293,6 +295,45 @@ def test_binomials_match_the_engines_rational_power(c, e, n):
     # exp(e log(1 + ct)) is a route independent of the ratio loop
     expected = TruncatedSeries(([1, c] + [0] * n)[: n + 1]).pow_rational(e)
     assert _binomials(c, e, n) == list(expected.coeffs)
+
+
+_bases = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)
+# non-negative integer exponents below n make the tail of a binomial vanish
+_exponents = st.one_of(_rationals, st.integers(0, 60))
+
+
+@given(
+    st.integers(0, 60), _bases, _exponents, _bases, _exponents,
+    st.booleans(), _bases, _rationals,
+)
+@settings(max_examples=150)
+def test_lagrange_buermann_matches_the_binomial_convolution(n, a, e_a, b, e_b, same, c, e):
+    # a zero base or exponent leaves one base or none, and same=True merges
+    # the two into one; the change's factor (1+ct)^(-en-1) (1+c(1+e)t) is
+    # cancelled in the integrand, so [z^n] is [t^n] of the two bases
+    if same:
+        b = a
+    cancel = [(c, e * n + 1), (c * (1 + e), -1)]
+    value = _lagrange_buermann([(1, [(a, e_a), (b, e_b)]), (1, cancel)], (c, e), n)
+    assert value == binomial_convolution(a, e_a, b, e_b, n)
+
+
+def test_numbers_at_large_n_keep_their_time_budget():
+    # on a 2-core x86 box with Python 3.11 the pair took 8-15 ms by the
+    # integer recurrence and 0.24-0.32 s by a convolution of Fraction terms;
+    # the best of three runs damps a loaded host
+    def seconds():
+        start = time.perf_counter()
+        segre_number(SegreParams(2, 3, 2, 4, 2000))
+        verlinde_number(VerlindeParams(3, 2, 5, 2000))
+        return time.perf_counter() - start
+
+    best = min(seconds() for _ in range(3))
+    assert best < 0.12, f"segre and verlinde at n = 2000 took {best:.3f}s, budget 0.12s"
 
 
 def test_lagrange_buermann_refuses_a_third_base():
