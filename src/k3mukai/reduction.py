@@ -12,9 +12,10 @@ the Hilbert scheme of n points pins down the target invariants:
     u'         = rho * u.
 
 This module works with the numeric invariants only; universality guarantees
-the integrals see nothing else.  The two-dimensional case has a closed-form
-evaluation, which doubles as an independent consistency check against the
-coefficient-extraction route at n = 1.
+the integrals see nothing else.  segre_verlinde evaluates every Segre and
+Verlinde number through this map, at rank one.  The two-dimensional case has
+a closed-form evaluation, which doubles as an independent consistency check
+against the coefficient-extraction route at n = 1.
 """
 
 from __future__ import annotations

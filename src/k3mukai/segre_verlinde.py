@@ -1,48 +1,45 @@
-"""Closed-form Segre and Verlinde series for sheaf moduli on a K3 surface.
+"""Closed-form Segre and Verlinde numbers for sheaf moduli on a K3 surface.
 
-With rho the rank of the moduli Mukai vector and s the rank of the
-tautological input class, the Segre numbers are coefficient extractions
+Every number is evaluated at rank one, after the reduction to the Hilbert
+scheme of points (reduction.py).  With s the rank of the tautological input
+class, the rank-one Segre numbers are coefficient extractions
 
-    integral of c(alpha_M)  =  [z^n] ( V_s^c2 * W_s^(c1^2) * X_s^2 )
+    integral of c(alpha)  =  [z^n] ( V_s^c2 * W_s^(c1^2) * X_s^2 )
 
-from three explicit products in an auxiliary parameter t (a and b denote
-1 - s/rho and 2 - s/rho):
+from three products in an auxiliary parameter t (a = 1 - s, b = 2 - s):
 
-    V_s = (1+at)^(1-s) (1+bt)^s (1+at)^(rho-1)
-    W_s = (1+at)^(s/2-1) (1+bt)^((1-s)/2) (1+at)^((1-rho)/2)
+    V_s = (1+at)^(1-s) (1+bt)^s
+    W_s = (1+at)^(s/2-1) (1+bt)^((1-s)/2)
     X_s = (1+at)^(s^2/2-s) (1+bt)^((1-s^2)/2) (1+abt)^(-1/2)
-          * (1+at)^(-(rho-1)^2 s / (2 rho))
 
-read through the variable change z = t (1+at)^a.  The Verlinde numbers come
-from
+read through the variable change z = t (1+at)^a.  The Verlinde numbers are
+chi = [w^n] ( G_r^chi(L) * F_r ), with chi of the structure sheaf, 2, baked in:
 
-    chi = [w^n] ( G_r^chi(L) * F_r )        (Euler characteristic 2 of the
-                                             structure sheaf is baked in)
-    F_r = (1+nu)^(r^2/rho^2) (1 + (r^2/rho^2) nu)^(-1),   G_r = 1 + nu,
+    F_r = (1+nu)^(r^2) (1 + r^2 nu)^(-1),   G_r = 1 + nu,   w = nu (1+nu)^(r^2 - 1).
 
-with w = nu (1+nu)^(r^2/rho^2 - 1).  The two families satisfy an exact
-correspondence under s = rho + r and nu = t (1 - (r/rho) t)^(-1):
-
-    F_r = V_s^((s/rho)(rho - 2 + 1/rho)) W_s^(-4s/rho) X_s^2,
-    G_r = V_s W_s^2,
-
-which check_correspondence verifies exactly in the common parameter t;
-from order 3 on, its verdict holds at every order.
+At rank rho, with s' = s/rho, the series are V_s'^rho, W_s' V_s'^((1-rho)/2)
+and X_s' V_s'^(-s'(rho^2-1)/2) under the same change, so a Segre number is
+the rank-one one at s' and c2' = s' + c1^2/2 - rho (s + c1^2/2 - c2), with
+the same c1^2: the map of reduce_to_hilbert (rank s/rho, v2 = rho v2(alpha),
+v2 = rank + c1^2/2 - c2).  F and G see (rho, r) only through r' = r/rho.
+The two families satisfy an exact correspondence under s = 1 + r and
+nu = t (1 - rt)^(-1), F_r = W_s^(-4s) X_s^2 and G_r = V_s W_s^2, which
+check_correspondence verifies exactly in t at r'; from order 3 on, its
+verdict holds at every order.  On numbers it reads
+verlinde_number(1, r, chi, n) = segre_number(1, 1 + r, c2, c1^2, n) with
+c2 = chi + (r-1)(1-n) and c1^2 = 2 chi - 4 - 2r, and so at r' for every rho.
 
 Every factor is a binomial power (1 + ct)^e, so each series is an exponent
 map, a list of pairs (c, e).  _segre_factors and _verlinde_factors are the
-one table of these maps, copied from the formulas above.  The numbers need
-no series reversion: by Lagrange-Buermann, [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z',
-and for z = t (1+ct)^e the factor (t/z)^(n+1) z' is one more map.  Merged
-(_merged), each integrand has at most two bases, so each number is a finite
-binomial sum, as in Marian-Oprea-Pandharipande, "Segre classes and Hilbert
-schemes of points".  _lagrange_buermann evaluates that sum by the recurrence
-of a product of two binomial powers, on integers, and builds one Fraction at
-the end; the tests check it against the two-list binomial convolution.  The
-substitution nu = t (1+at)^(-1) is a map rule, 1 + c nu = (1 + (a+c)t) / (1 + at),
-and check_correspondence reads each quotient LHS/RHS from the power sums of
-its merged map.  build_vwx, build_fg and segre_variable_change expand the
-table for the tests (_binomials).
+one rank-one table of these maps, and _rank_one the one step from rank rho.
+No number needs series reversion: by Lagrange-Buermann, [z^n] H(t(z)) =
+[t^n] H (t/z)^(n+1) z', and for z = t (1+ct)^e that factor is one more map.
+Merged (_merged), each integrand has at most two bases, so each number is a
+binomial sum (Marian-Oprea-Pandharipande, "Segre classes and Hilbert schemes
+of points"), which _lagrange_buermann evaluates by an integer recurrence.
+check_correspondence reads each identity from the power sums of one merged
+map.  build_vwx, build_fg and segre_variable_change expand the table at rank
+rho for the tests (_binomials).
 """
 
 from __future__ import annotations
@@ -95,31 +92,29 @@ class VerlindeParams:
             raise ValueError("n must be non-negative")
 
 
-def _segre_factors(rho: int, s):
-    """The maps of V, W and X as in the module docstring, with b = 1 + a, and
-    the variable change z = t (1+at)^a as (a, a)."""
+def _rank_one(rho: int, x) -> Fraction:
+    """x / rho: the rank-one value s' = s/rho or r' = r/rho at rank rho."""
     if rho < 1:
         raise ValueError("rho must be a positive integer")
+    return Fraction(x, rho)
+
+
+def _segre_factors(s):
+    """The rank-one maps of V, W and X as in the module docstring, with
+    a = 1 - s and b = 1 + a, and the variable change z = t (1+at)^a as (a, a)."""
     s = _frac(s)
-    a = 1 - s / rho
+    a = 1 - s
     b = 1 + a
     half = Fraction(1, 2)
-    v = [(a, 1 - s), (b, s), (a, rho - 1)]
-    w = [(a, half * s - 1), (b, half * (1 - s)), (a, half * (1 - rho))]
-    x = [
-        (a, half * s * s - s),
-        (b, half * (1 - s * s)),
-        (a * b, -half),
-        (a, -((rho - 1) ** 2) * s / (2 * rho)),
-    ]
+    v = [(a, 1 - s), (b, s)]
+    w = [(a, half * s - 1), (b, half * (1 - s))]
+    x = [(a, half * s * s - s), (b, half * (1 - s * s)), (a * b, -half)]
     return v, w, x, (a, a)
 
 
-def _verlinde_factors(rho: int, r: int):
-    """The maps of F and G, and the variable change w = nu (1+nu)^(q-1) as (1, q-1)."""
-    if rho < 1:
-        raise ValueError("rho must be a positive integer")
-    q = Fraction(r * r, rho * rho)
+def _verlinde_factors(r):
+    """The rank-one maps of F and G, and w = nu (1+nu)^(q-1) as (1, q-1), q = r^2."""
+    q = r * r
     return [(1, q), (q, -1)], [(1, 1)], (1, q - 1)
 
 
@@ -188,32 +183,39 @@ def _change_series(change, order: int) -> TruncatedSeries:
 
 
 def build_vwx(rho: int, s, order: int):
-    """The three Segre factor series (V, W, X) in t, exact to `order`."""
-    return tuple(_series([(1, m)], order) for m in _segre_factors(rho, s)[:3])
+    """(V, W, X) in t at rank rho, exact to `order`, lifted from s' = s/rho."""
+    s = _rank_one(rho, s)
+    v, w, x, _ = _segre_factors(s)
+    lifted = ([(rho, v)], [(1, w), (Fraction(1 - rho, 2), v)],
+              [(1, x), (-s * (rho * rho - 1) / 2, v)])
+    return tuple(_series(m, order) for m in lifted)
 
 
 def segre_variable_change(rho: int, s, order: int) -> TruncatedSeries:
     """t as a series in z, inverting z = t (1 + (1-s/rho) t)^(1-s/rho)."""
-    return _change_series(_segre_factors(rho, s)[3], order).revert()
+    return _change_series(_segre_factors(_rank_one(rho, s))[3], order).revert()
 
 
 def segre_number(params: SegreParams) -> Fraction:
-    """[z^n] of V^c2 * W^c1sq * X^2 with z = t (1+at)^a, by Lagrange-Buermann.
+    """[z^n] of V^c2 * W^c1sq * X^2, z = t (1+at)^a, by Lagrange-Buermann at (s', c2').
 
     The factor (t/z)^(n+1) z' brings (1+abt)^1, which cancels the
     (1+abt)^(-1) of X^2 when the bases are merged, so the number is
     sum_k binom(E_a, k) binom(E_b, n-k) a^k b^(n-k) with
-    E_a = c2 (rho-s) + c1sq (s-rho-1)/2 + s^2 - 2s - (rho-1)^2 s/rho - an - 1
-    and E_b = c2 s + c1sq (1-s)/2 + 1 - s^2, evaluated by the integer
+    E_a = c2' (1-s') + c1sq (s'-2)/2 + s'^2 - 2s' - an - 1
+    and E_b = c2' s' + c1sq (1-s')/2 + 1 - s'^2, evaluated by the integer
     recurrence of _lagrange_buermann.
     """
-    v, w, x, change = _segre_factors(params.rho, params.s)
-    return _lagrange_buermann([(params.c2, v), (params.c1sq, w), (2, x)], change, params.n)
+    rho, s, half_c1sq = params.rho, params.s, Fraction(params.c1sq, 2)
+    s_one = _rank_one(rho, s)
+    c2_one = s_one + half_c1sq - rho * (s + half_c1sq - params.c2)
+    v, w, x, change = _segre_factors(s_one)
+    return _lagrange_buermann([(c2_one, v), (params.c1sq, w), (2, x)], change, params.n)
 
 
 def build_fg(rho: int, r: int, order: int):
     """The Verlinde series (F, G) in nu, plus the variable change w(nu)."""
-    f, g, change = _verlinde_factors(rho, r)
+    f, g, change = _verlinde_factors(_rank_one(rho, r))
     return _series([(1, f)], order), _series([(1, g)], order), _change_series(change, order)
 
 
@@ -222,10 +224,10 @@ def verlinde_number(params: VerlindeParams) -> Fraction:
 
     The factor (nu/w)^(n+1) w' brings (1 + q nu)^1, which cancels the
     (1 + q nu)^(-1) of F when the bases are merged; the one base left is 1,
-    so the number is binom(chiL + (1-q)(n-1), n) with q = r^2/rho^2, which
-    _lagrange_buermann's recurrence reaches as a first-order one.
+    so the number is binom(chiL + (1-q)(n-1), n) with q = r'^2 = (r/rho)^2,
+    which _lagrange_buermann's recurrence reaches as a first-order one.
     """
-    f, g, change = _verlinde_factors(params.rho, params.r)
+    f, g, change = _verlinde_factors(_rank_one(params.rho, params.r))
     return _lagrange_buermann([(1, f), (params.chiL, g)], change, params.n)
 
 
@@ -261,26 +263,23 @@ def check_correspondence(
     order: int,
     f_exponent_offset: Fraction | int = 0,
 ) -> CorrespondenceReport:
-    """Compare both Segre-Verlinde identities in t up to `order`.
+    """Compare both Segre-Verlinde identities in t up to `order`, at r' = r/rho.
 
-    Under nu = t (1+at)^(-1), a = -r/rho, each (c, e) of F and G becomes
+    Under nu = t (1+at)^(-1), a = -r', each (c, e) of F and G becomes
     (a+c, e) and (a, -e), so each quotient LHS/RHS is one merged map, empty
     when the identity holds.  As q = a^2, F's base a+q is X's base ab: every
     map has bases in {a, b, ab}, so at most three power sums decide the
-    identity at every order.  `f_exponent_offset` perturbs the exponent on V
-    in the F-identity, for negative controls.
+    identity at every order.  `f_exponent_offset` perturbs the exponent on
+    V = V_s'^rho in the F-identity, for negative controls.
     """
-    s = rho + r
-    v, w, x, (a, _) = _segre_factors(rho, s)
-    f, g, _ = _verlinde_factors(rho, r)
+    r_one = _rank_one(rho, r)
+    v, w, x, (a, _) = _segre_factors(1 + r_one)
+    f, g, _ = _verlinde_factors(r_one)
     if order < 1:
         raise ValueError("order must be at least 1")
     f_t, g_t = ([p for c, e in m for p in ((a + c, e), (a, -e))] for m in (f, g))
-    # (s/rho) (sqrt(rho) - 1/sqrt(rho))^2 simplifies to a rational number
-    exponent = Fraction(s, rho) * (Fraction(rho) - 2 + Fraction(1, rho))
-    exponent += _frac(f_exponent_offset)
     g_quotient = [(1, g_t), (-1, v), (-2, w)]
-    f_quotient = [(1, f_t), (-exponent, v), (Fraction(4 * s, rho), w), (-2, x)]
+    f_quotient = [(1, f_t), (-rho * _frac(f_exponent_offset), v), (4 * (1 + r_one), w), (-2, x)]
     g_mismatch = _first_mismatch(g_quotient, order)
     f_mismatch = _first_mismatch(f_quotient, order)
     mismatches = [m for m in (g_mismatch, f_mismatch) if m is not None]

@@ -39,6 +39,21 @@ def vwx_by_powers(rho: int, s, order: int):
     return v, w, x
 
 
+def segre_maps_at_rank(rho: int, s):
+    """The exponent maps (c, e) of V, W and X at rank rho, read off the
+    paper's form above, and the variable change z = t (1+at)^a as (a, a);
+    the library keeps only the rank-one table."""
+    s = Fraction(s)
+    a = 1 - s / rho
+    b = 1 + a
+    half = Fraction(1, 2)
+    v = [(a, 1 - s), (b, s), (a, rho - 1)]
+    w = [(a, half * s - 1), (b, half * (1 - s)), (a, half * (1 - rho))]
+    x = [(a, half * s * s - s), (b, half * (1 - s * s)), (a * b, -half),
+         (a, -((rho - 1) ** 2) * s / (2 * rho))]
+    return v, w, x, (a, a)
+
+
 def segre_z_of_t(rho: int, s, order: int) -> TruncatedSeries:
     """z = t (1 + at)^a with a = 1 - s/rho, by a rational power."""
     a = 1 - Fraction(s) / rho

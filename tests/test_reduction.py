@@ -23,7 +23,14 @@ from k3mukai.reduction import (
     reduction_target_to_json,
     segre_cross_check,
 )
-from k3mukai.segre_verlinde import SegreParams, _merged, _segre_factors, segre_number
+from helpers import segre_maps_at_rank
+from k3mukai.segre_verlinde import (
+    SegreParams,
+    _lagrange_buermann,
+    _merged,
+    _segre_factors,
+    segre_number,
+)
 
 F = Fraction
 
@@ -245,17 +252,25 @@ def _hilbert_point(rho, s, c2, c1sq):
     return 1, beta.rank, c2_from_v2(beta.rank, beta.c1sq, beta.v2), c1sq
 
 
-def _segre_integrand(rho, s, c2, c1sq):
-    v, w, x, change = _segre_factors(rho, s)
-    return _merged([(c2, v), (c1sq, w), (2, x)]), change
+def _segre_integrand(maps, c2, c1sq):
+    v, w, x, change = maps
+    return [(c2, v), (c1sq, w), (2, x)], change
 
 
 def test_reduction_preserves_the_segre_integrand_at_every_n():
-    # segre_number at every n is a function of the merged map and the
-    # variable change alone, so equal pairs give equal numbers for all n
+    # the rank-rho table of the paper's form (tests/helpers.py), merged,
+    # equals production's rank-one integrand at reduce_to_hilbert's point, so
+    # the two give the same number at every n; segre_number, which finds
+    # that point by its own inline formula, must give that number too
     thirds = [F(k, 3) for k in range(-9, 10)]
     for point in itertools.product(range(1, 6), thirds, range(-2, 3), range(-4, 5, 2)):
-        assert _segre_integrand(*_hilbert_point(*point)) == _segre_integrand(*point)
+        rho, s, c2, c1sq = point
+        _, s_beta, c2_beta, _ = _hilbert_point(*point)
+        at_rank, change = _segre_integrand(segre_maps_at_rank(rho, s), c2, c1sq)
+        at_one, change_one = _segre_integrand(_segre_factors(s_beta), c2_beta, c1sq)
+        assert (_merged(at_one), change_one) == (_merged(at_rank), change), point
+        expected = _lagrange_buermann(at_rank, change, 2)
+        assert segre_number(SegreParams(rho, s, c2, c1sq, 2)) == expected, point
 
 
 @pytest.mark.parametrize("point", [

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from dataclasses import replace
@@ -27,6 +28,7 @@ from k3mukai.segre_verlinde import (
     _binomials,
     _first_mismatch,
     _lagrange_buermann,
+    _segre_factors,
     _series,
     build_fg,
     build_vwx,
@@ -337,7 +339,7 @@ def test_numbers_at_large_n_keep_their_time_budget():
 
 
 def test_lagrange_buermann_refuses_a_third_base():
-    # the two-term convolution would drop the third base and give a wrong number
+    # the recurrence would drop the third base and give a wrong number
     with pytest.raises(ValueError, match="3 bases"):
         _lagrange_buermann([(1, [(2, F(1, 2)), (3, -1)])], (1, 1), 4)
 
@@ -442,6 +444,27 @@ def test_first_mismatch_reads_power_sums_past_the_first(rho, r):
     assert firsts[:2] == [None, None]
     if r not in (0, rho, -rho):
         assert firsts[-2:] == [2, 3]
+
+
+def test_verlinde_numbers_are_segre_numbers_at_rank_one():
+    # at s = 1 + r the map identities make the two Lagrange-Buermann
+    # integrands equal: [w^n] G^chi F is the Segre number at
+    # c2 = chi + (r-1)(1-n) and c1sq = 2 chi - 4 - 2r
+    for r, chi, n in itertools.product(range(-8, 9), range(-6, 9), range(13)):
+        segre = SegreParams(1, 1 + r, chi + (r - 1) * (1 - n), 2 * chi - 4 - 2 * r, n)
+        assert verlinde_number(VerlindeParams(1, r, chi, n)) == segre_number(segre), (r, chi, n)
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3, 4, 5])
+def test_verlinde_numbers_are_segre_numbers_at_r_over_rho(rho):
+    # at rank rho the same map holds at r' = r/rho, where c2 and c1sq are
+    # rational, so the Segre side is the rank-one integrand itself
+    for r, chi, n in itertools.product(range(-4, 5), range(-6, 9), range(11)):
+        r_one = F(r, rho)
+        v, w, x, change = _segre_factors(1 + r_one)
+        c2, c1sq = chi + (r_one - 1) * (1 - n), 2 * chi - 4 - 2 * r_one
+        segre = _lagrange_buermann([(c2, v), (c1sq, w), (2, x)], change, n)
+        assert verlinde_number(VerlindeParams(rho, r, chi, n)) == segre, (r, chi, n)
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3, 4])
