@@ -21,8 +21,9 @@ matrix stays as integer numerators N, with <x_i, x_j> = N_ij / (den d_i d_j)
 for den the space's Gram denominator and d_i the forms' denominators;
 Fractions are built only at the public boundary: the value of
 `gram_matrix`, a span isometry's `gram_inverse` and `coordinates`, and the
-coordinates of each vector returned (plus, once per reduction round, those
-of the radical vector w that `_combine` returns).
+coordinates of each vector returned (plus, once per reduction, those of the
+radical basis vectors that `_combine` returns).  Each is built for a nonzero
+entry only; every zero entry is one shared `Fraction(0)`.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from typing import Iterable, Sequence
 from .series import _frac, _integer_coeffs, _json_number
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+# the one Fraction for every zero entry built at the public boundary
+_ZERO = Fraction(0)
 
 
 class LatticeError(ValueError):
@@ -179,7 +183,7 @@ class MukaiVector:
         """The vector of a form (numerators over their least, positive
         denominator), with that form as its cached `_form`."""
         nums, den = form
-        coords = [Fraction(a, den) for a in nums]
+        coords = [Fraction(a, den) if a else _ZERO for a in nums]
         x = cls.__new__(cls)
         x.__dict__.update(space=space, rank=coords[0], c1=tuple(coords[1:-1]),
                           v2=coords[-1], _form=form)
@@ -273,17 +277,24 @@ def _pair_nums(space: QuadraticSpace, forms, duals) -> list[list[int]]:
     return table
 
 
-def _gram_nums(xs: Sequence[MukaiVector]) -> list[list[int]]:
-    """The pairing numerators of vectors of one space among themselves."""
-    forms = [x._form for x in xs]
-    return _pair_nums(xs[0].space, forms, _duals(xs[0].space, forms)) if xs else []
+def _gram_nums(space: QuadraticSpace, forms) -> list[list[int]]:
+    """The pairing numerators of forms of one space among themselves; the
+    matrix is symmetric, so row i copies its first i entries from the rows
+    above and pairs each entry once."""
+    duals = _duals(space, forms) if forms else []
+    table = []
+    for i, form in enumerate(forms):
+        table.append([row[i] for row in table] + _pair_nums(space, [form], duals[i:])[0])
+    return table
 
 
-def _pairings(space: QuadraticSpace, x_forms, y_forms) -> list[list[Fraction]]:
-    """The pairings <x, y> of integer forms, one Fraction each."""
+def _pairings(space: QuadraticSpace, x_forms, y_forms, nums=None) -> list[list[Fraction]]:
+    """The pairings <x, y> of integer forms, one Fraction each (zeros share
+    one); `nums` are their numerators, if already known."""
     _, den = space._sparse
-    nums = _pair_nums(space, x_forms, _duals(space, y_forms))
-    return [[Fraction(p, den * d * e) for p, (_, e) in zip(row, y_forms)]
+    if nums is None:
+        nums = _pair_nums(space, x_forms, _duals(space, y_forms))
+    return [[Fraction(p, den * d * e) if p else _ZERO for p, (_, e) in zip(row, y_forms)]
             for row, (_, d) in zip(nums, x_forms)]
 
 
@@ -293,8 +304,8 @@ def gram_matrix(xs: Sequence[MukaiVector]) -> Matrix:
         return ()
     if any(x.space != xs[0].space for x in xs):
         raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
-    forms = [x._form for x in xs]
-    return tuple(map(tuple, _pairings(xs[0].space, forms, forms)))
+    space, forms = xs[0].space, [x._form for x in xs]
+    return tuple(map(tuple, _pairings(space, forms, forms, _gram_nums(space, forms))))
 
 
 def gram_rank(matrix) -> int:
@@ -442,7 +453,7 @@ def _combine_form(coeffs: Sequence[Fraction], forms, length: int) -> tuple[list[
 def _combine(coeffs: Sequence[Fraction], forms, length: int) -> list[Fraction]:
     """The coordinates of sum_b coeffs[b] * forms[b]."""
     nums, den = _combine_form(coeffs, forms, length)
-    return [Fraction(t, den) for t in nums]
+    return [Fraction(t, den) if t else _ZERO for t in nums]
 
 
 # -- the non-degenerate-span reduction --------------------------------------
@@ -453,48 +464,50 @@ def nondegenerate_reduction(
 ) -> list[MukaiVector]:
     """Replace the x_i by y_i with the same fingerprint and non-degenerate span.
 
-    Repeatedly finds a nonzero vector w in the radical of Span(v, x_1..x_k),
-    expresses each x_i in a basis whose first vector is w (with v among the
-    rest), and subtracts the w-component.  The span dimension drops each
-    round, so this terminates; w pairs to zero with everything in the span,
-    so no pairing among v and the x_i changes.
+    Finds a basis w_1..w_d of the radical of Span(v, x_1..x_k), extends it
+    by v and a greedy choice of the x_i to a basis of the span, and
+    subtracts from each x_i its components along the w_j in that basis: one
+    elimination removes the whole radical.  The w_j pair to zero with
+    everything in the span, so no pairing among v and the x_i changes.
     """
     if v.pair(v) < 2:
         raise DegenerateMukaiVector(f"need v.v >= 2, got {v.pair(v)}")
     space = v.space
-    ys = list(xs)
-    if any(y.space != space for y in ys):
+    if any(x.space != space for x in xs):
         raise SpaceMismatch("all vectors must live in one quadratic space")
-    for _ in range(space.dim + 3):
-        forms = [v._form, *(y._form for y in ys)]
-        basis = [forms[i] for i in _greedy_basis_indices(forms)]
-        # the basis Gram matrix is D^-1 N D^-1 / den, so its kernel is D kernel(N)
-        kernel, _ = _kernel_nums(_pair_nums(space, basis, _duals(space, basis)))
-        if not kernel:
-            return ys
-        w = _combine([u * d for u, (_, d) in zip(kernel[0], basis)], basis, space.dim + 2)
-        # one elimination on the columns (w, v, basis, ys): its pivots extend
-        # {w, v} to a basis of the span (w != 0, and v.v >= 2 while w.v = 0),
-        # and its first row holds the w-coordinate of each y in that basis
-        columns = [_integer_coeffs(w), *forms[:1], *basis, *forms[1:]]
-        rows = [list(r) for r in zip(*(nums for nums, _ in columns)) if any(r)]
-        pivots = _eliminate(rows)
-        first_y = 2 + len(basis)
-        if pivots[:2] != [0, 1]:
-            raise LatticeError("w and v do not start a basis of the span")
-        if pivots[-1] >= first_y:
-            raise LatticeError("an x_i lies outside the span of the reduction basis")
-        top, w_nums = rows[0], columns[0][0]
-        reduced = []
-        for col, y in enumerate(ys, first_y):
-            if top[col]:
-                # y - c w with c = top[col] d_w / (top[0] d_y), on numerators
-                nums, d = y._form
-                y = MukaiVector._from_form(space, _normal_form(
-                    [top[0] * a - top[col] * b for a, b in zip(nums, w_nums)], top[0] * d))
-            reduced.append(y)
-        ys = reduced
-    raise AssertionError("span dimension failed to drop; this cannot happen")
+    forms = [v._form, *(x._form for x in xs)]
+    basis = [forms[i] for i in _greedy_basis_indices(forms)]
+    # the basis Gram matrix is D^-1 N D^-1 / den, so its kernel is D kernel(N)
+    kernel, _ = _kernel_nums(_gram_nums(space, basis))
+    if not kernel:
+        return list(xs)
+    length = space.dim + 2
+    ws = [_integer_coeffs(_combine([u * e for u, (_, e) in zip(vec, basis)], basis, length))
+          for vec in kernel]
+    # one elimination on the columns (w_1..w_d, v, basis, xs): its pivots
+    # extend {w_1..w_d, v} to a basis of the span (the w_j are independent,
+    # and v.v >= 2 while w_j.v = 0), and row j over rows[j][j] holds the
+    # w_j-coordinate of each column's numerators in that basis
+    d, columns = len(ws), [*ws, *forms[:1], *basis, *forms[1:]]
+    rows = [list(r) for r in zip(*(nums for nums, _ in columns)) if any(r)]
+    pivots = _eliminate(rows)
+    first_x = d + 1 + len(basis)
+    if pivots[:d + 1] != list(range(d + 1)):
+        raise LatticeError("w and v do not start a basis of the span")
+    if pivots[-1] >= first_x:
+        raise LatticeError("an x_i lies outside the span of the reduction basis")
+    top = rows[:d]
+    m = lcm(*(row[j] for j, row in enumerate(top)))
+    ys = []
+    for col, x in enumerate(xs, first_x):
+        # x - sum_j c_j w_j with c_j = (row_j[col] / row_j[j]) (d_wj / d_x), over m d_x
+        cs = [-row[col] * (m // row[j]) * dw for j, (row, (_, dw)) in enumerate(zip(top, ws))]
+        if any(cs):
+            md = m * x._form[1]
+            x = MukaiVector._from_form(
+                space, _combine_nums([md, *cs], md, [x._form, *ws], length))
+        ys.append(x)
+    return ys
 
 
 # -- isometries between spans ------------------------------------------------
@@ -539,7 +552,7 @@ class SpanIsometry:
         In a non-degenerate span, x = sum_ab <x, v_a> (G^-1)_ab v_b.
         """
         nums, den = self._coefficients(x)
-        return [Fraction(c, den) for c in nums]
+        return [Fraction(c, den) if c else _ZERO for c in nums]
 
     def apply(self, x: MukaiVector) -> MukaiVector:
         nums, den = self._coefficients(x)
@@ -571,7 +584,8 @@ def span_isometry(
         raise GramMismatch("vector lists must have the same length")
     if any(x.space != vs[0].space for x in [*vs, *ws]):
         raise SpaceMismatch("all vectors must live in one quadratic space")
-    nv, nw = _gram_nums(vs), _gram_nums(ws)
+    space = vs[0].space if vs else None
+    nv, nw = (_gram_nums(space, [x._form for x in xs]) for xs in (vs, ws))
     dv, dw = [x._form[1] for x in vs], [x._form[1] for x in ws]
     if any(a * dw[i] * dw[j] != b * dv[i] * dv[j]
            for i, (row_v, row_w) in enumerate(zip(nv, nw))
@@ -583,9 +597,10 @@ def span_isometry(
         raise DegenerateSpan("both spans must be non-degenerate")
     # rank(N) = len(basis_idx) makes the basis submatrix N_B invertible
     inverse, q = _inverse_nums([[nv[i][j] for j in basis_idx] for i in basis_idx])
-    den = vs[0].space._sparse[1] if vs else 1
+    den = space._sparse[1] if vs else 1
     d = [dv[i] for i in basis_idx]
-    gram_inv = tuple(tuple(Fraction(den * d[i] * a * d[j], q) for j, a in enumerate(row))
+    gram_inv = tuple(tuple(Fraction(den * d[i] * a * d[j], q) if a else _ZERO
+                           for j, a in enumerate(row))
                      for i, row in enumerate(inverse))
     iso = SpanIsometry(tuple(vs[i] for i in basis_idx), tuple(ws[i] for i in basis_idx), gram_inv)
     for x, w in zip(vs, ws):

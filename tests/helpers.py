@@ -260,3 +260,41 @@ def greedy_by_rank(rows):
         if len(fraction_rref([rows[j] for j in picked] + [row])[1]) > len(picked):
             picked.append(i)
     return picked
+
+
+def fraction_pairing(gram, a, b) -> Fraction:
+    """The Mukai pairing D.G.D' - r*n' - r'*n of two coordinate rows
+    (rank, D..., v2), for a quadratic space with Gram matrix `gram`."""
+    da, db = a[1:-1], b[1:-1]
+    return (sum((Fraction(x) * g * y for row, x in zip(gram, da) if x
+                 for g, y in zip(row, db) if g and y), Fraction(0))
+            - a[0] * b[-1] - b[0] * a[-1])
+
+
+def multi_round_reduction(v, xs):
+    """The coordinates of the non-degenerate-span reduction of the vectors
+    xs, removing one radical vector per round, in plain Fractions.
+
+    Each round takes the greedy basis of (v, ys), the first vector w of the
+    `fraction_kernel_basis` of its Gram matrix, and subtracts from each y
+    its w-coordinate in the basis that the `fraction_rref` pivots of the
+    columns (w, v, basis, ys) pick; it stops when the kernel is empty.
+    """
+    gram = v.space.gram
+    vc = list(v.coords)
+    ys = [list(x.coords) for x in xs]
+    while True:
+        rows = [vc, *ys]
+        basis = [rows[i] for i in greedy_by_rank(rows)]
+        kernel = fraction_kernel_basis([[fraction_pairing(gram, a, b) for b in basis]
+                                        for a in basis])
+        if not kernel:
+            return [tuple(y) for y in ys]
+        w = [sum((c * b[i] for c, b in zip(kernel[0], basis)), Fraction(0))
+             for i in range(len(vc))]
+        columns = [w, vc, *basis, *ys]
+        rref, pivots = fraction_rref([list(r) for r in zip(*columns)])
+        first_y = 2 + len(basis)
+        assert pivots[:2] == [0, 1] and pivots[-1] < first_y
+        ys = [[a - rref[0][col] * b for a, b in zip(y, w)]
+              for col, y in enumerate(ys, first_y)]

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from helpers import (
     fraction_inverse,
     fraction_kernel_basis,
+    fraction_pairing,
     fraction_rref,
     gauss_det,
     gauss_rank,
     greedy_by_rank,
+    multi_round_reduction,
 )
+from k3mukai import lattice
 from k3mukai.lattice import (
     DegenerateMukaiVector,
     DegenerateSpan,
@@ -51,6 +54,7 @@ from k3mukai.lattice import (
     span_isometry,
 )
 from k3mukai.series import _integer_coeffs
+from test_lattice_golden import GENERIC
 
 F = Fraction
 K3 = k3_lattice()
@@ -339,6 +343,38 @@ def test_lattice_checks_survive_python_optimize():
     ])
 
 
+def test_multi_radical_pivot_check_survives_python_optimize():
+    # at d = 2 a patched kernel repeats its first vector, so w_1..w_d and v
+    # are dependent; under -O an assert would vanish, an explicit raise must not
+    script = textwrap.dedent("""
+        import sys
+        from k3mukai import lattice as L
+        assert not __debug__ and sys.flags.optimize
+        K3 = L.k3_lattice()
+        v = L.hilbert_scheme_vector(K3, 3)
+        f, g = (L.MukaiVector(K3, 0, [int(i == j) for i in range(22)], 0) for j in (0, 2))
+        x = L.MukaiVector(K3, 0, [0] * 6 + [1] + [0] * 15, 0)
+        kernel_nums, sizes = L._kernel_nums, []
+        def repeat_first(rows):
+            kernel, scale = kernel_nums(rows)
+            sizes.append(len(kernel))
+            return [kernel[0], kernel[0], *kernel[2:]], scale
+        L._kernel_nums = repeat_first
+        try:
+            L.nondegenerate_reduction(v, [f, x, g])
+        except L.LatticeError as exc:
+            print([sizes, str(exc)])
+        else:
+            print([sizes, None])
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.strip() == str([[2], "w and v do not start a basis of the span"])
+
+
 # -- fingerprint ---------------------------------------------------------------
 
 
@@ -404,6 +440,99 @@ def test_reduction_preserves_fingerprint_and_fixes_rank():
         assert fingerprint(v, ys) == fingerprint(v, xs)
         full = [v, *ys]
         assert gram_rank(gram_matrix(full)) == span_dim(full)
+
+
+# per space: the coordinates of the first vectors e_j of its hyperbolic
+# planes (each e_j isotropic, pairing only with its partner at the next
+# coordinate), and the coordinates that v's c1 is drawn on
+PLANTING = {"k3": (K3, (1, 3, 5), range(7, 23)), "generic": (GENERIC, (3, 5), (1, 2))}
+
+
+def planted_radical_case(rng, name, d):
+    """(v, xs) in the named space: xs mix the isotropic classes e_j of the
+    first d hyperbolic planes into sparse vectors with denominators 1, 2 and
+    3 that vanish at the partners of those e_j, so each e_j pairs to zero
+    with the whole span; one x is repeated."""
+    space, firsts, v_support = PLANTING[name]
+    size = space.dim + 2
+    partners = {first + 1 for first in firsts[:d]}
+
+    def sparse(support):
+        c = [F(0)] * size
+        for i in rng.sample(sorted(support), min(3, len(support))):
+            c[i] = F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+        return c
+
+    def coefficient():
+        return F(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2, 3)))
+
+    v = sparse(v_support)
+    v[0] = F(1)
+    # v2 <= (D.D - 2) / 2 makes v.v = D.D - 2 v2 >= 2
+    v[-1] = F((fraction_pairing(space.gram, v, v) - 2) // 2 - rng.randint(0, 2))
+    free = [sparse(set(range(size)) - partners) for _ in range(rng.randint(2, 4))]
+    xs = [*free]
+    for first in firsts[:d]:
+        mix = [(coefficient(), [F(int(i == first)) for i in range(size)])]
+        mix += [(coefficient(), x) for x in rng.sample(free, rng.randint(1, len(free)))]
+        xs.append([sum((c * x[i] for c, x in mix), F(0)) for i in range(size)])
+    xs.append(rng.choice(xs))
+    rng.shuffle(xs)
+    return (MukaiVector.from_coords(space, v),
+            [MukaiVector.from_coords(space, x) for x in xs])
+
+
+@pytest.mark.parametrize("name", ["k3", "generic"])
+def test_reduction_matches_the_multi_round_oracle(name):
+    rng = random.Random(f"one-elimination-{name}")
+    dims = len(PLANTING[name][1]) + 1
+    for case in range(60):
+        v, xs = planted_radical_case(rng, name, case % dims)
+        got = [[str(c) for c in y.coords] for y in nondegenerate_reduction(v, xs)]
+        assert got == [[str(c) for c in y] for y in multi_round_reduction(v, xs)]
+
+
+def test_reduction_eliminates_three_times_at_any_radical_dimension(monkeypatch):
+    # greedy basis, kernel and one column elimination; no kernel, no third
+    rng = random.Random(2718)
+    eliminate, calls, seen = lattice._eliminate, [], set()
+
+    def counting(rows, reduce=True):
+        calls.append(reduce)
+        return eliminate(rows, reduce)
+
+    for case in range(24):
+        v, xs = planted_radical_case(rng, "k3", case % 4)
+        full = [v, *xs]
+        radical = span_dim(full) - gram_rank(gram_matrix(full))
+        seen.add(radical)
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice, "_eliminate", counting)
+            calls.clear()
+            nondegenerate_reduction(v, xs)
+        assert len(calls) == (3 if radical else 2)
+    assert seen >= {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("name", ["k3", "generic"])
+def test_public_values_are_fractions_zeros_included(name):
+    rng = random.Random(f"fraction-types-{name}")
+    dims = len(PLANTING[name][1]) + 1
+    for case in range(12):
+        v, xs = planted_radical_case(rng, name, case % dims)
+        full = [v, *xs]
+        gram = gram_matrix(full)
+        assert gram == tuple(tuple(x.pair(y) for y in full) for x in full)
+        ys = nondegenerate_reduction(v, xs)
+        reduced = [v, *ys]
+        iso = span_isometry(reduced, [-x for x in reduced])
+        values = [*(g for row in gram for g in row),
+                  *(g for row in fingerprint(v, xs).matrix for g in row),
+                  *(g for row in iso.gram_inverse for g in row),
+                  *(c for y in ys for c in y.coords),
+                  *(c for y in reduced for c in iso.apply(y).coords)]
+        assert F(0) in values
+        assert all(type(x) is F for x in values)
 
 
 # -- span isometries -------------------------------------------------------------
