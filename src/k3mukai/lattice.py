@@ -21,9 +21,9 @@ matrix stays as integer numerators N, with <x_i, x_j> = N_ij / (den d_i d_j)
 for den the space's Gram denominator and d_i the forms' denominators;
 Fractions are built only at the public boundary: the value of
 `gram_matrix`, a span isometry's `gram_inverse` and `coordinates`, and the
-coordinates of each vector returned (plus, once per reduction, those of the
-radical basis vectors that `_combine` returns).  Each is built for a nonzero
-entry only; every zero entry is one shared `Fraction(0)`.
+coordinates of each vector returned; the radical basis vectors of a
+reduction stay integer forms.  Each is built for a nonzero entry only; every
+zero entry is one shared `Fraction(0)`.
 """
 
 from __future__ import annotations
@@ -445,17 +445,6 @@ def _combine_nums(cn: Sequence[int], cd: int, forms, length: int) -> tuple[list[
     return _normal_form(total, cd * den)
 
 
-def _combine_form(coeffs: Sequence[Fraction], forms, length: int) -> tuple[list[int], int]:
-    """sum_b coeffs[b] * forms[b] as a form."""
-    return _combine_nums(*_integer_coeffs(coeffs), forms, length)
-
-
-def _combine(coeffs: Sequence[Fraction], forms, length: int) -> list[Fraction]:
-    """The coordinates of sum_b coeffs[b] * forms[b]."""
-    nums, den = _combine_form(coeffs, forms, length)
-    return [Fraction(t, den) if t else _ZERO for t in nums]
-
-
 # -- the non-degenerate-span reduction --------------------------------------
 
 
@@ -482,7 +471,7 @@ def nondegenerate_reduction(
     if not kernel:
         return list(xs)
     length = space.dim + 2
-    ws = [_integer_coeffs(_combine([u * e for u, (_, e) in zip(vec, basis)], basis, length))
+    ws = [_combine_nums([u * e for u, (_, e) in zip(vec, basis)], 1, basis, length)
           for vec in kernel]
     # one elimination on the columns (w_1..w_d, v, basis, xs): its pivots
     # extend {w_1..w_d, v} to a basis of the span (the w_j are independent,
@@ -577,8 +566,8 @@ def span_isometry(
 
     All of it reads the Gram numerators N (see `_pair_nums`): the Gram
     matrices are equal when N_v and N_w agree after cross-multiplying by the
-    forms' denominators, the rank is that of N, and the basis Gram inverse is
-    den D N_B^-1 D.
+    forms' denominators, and the basis Gram inverse is den D N_B^-1 D, found
+    by the elimination that decides whether Span(vs) is non-degenerate.
     """
     if len(vs) != len(ws):
         raise GramMismatch("vector lists must have the same length")
@@ -591,12 +580,13 @@ def span_isometry(
            for i, (row_v, row_w) in enumerate(zip(nv, nw))
            for j, (a, b) in enumerate(zip(row_v, row_w))):
         raise GramMismatch("the two lists have different Gram matrices")
-    rank = len(_eliminate(list(nv), reduce=False))
+    # N_B is invertible exactly when Span(vs) is non-degenerate; then N_w has
+    # rank len(basis_idx), the dimension a non-degenerate Span(ws) must have
     basis_idx = _greedy_basis_indices([x._form for x in vs])
-    if rank != len(basis_idx) or rank != span_dim(ws):
+    solved = _inverse_nums([[nv[i][j] for j in basis_idx] for i in basis_idx])
+    if solved is None or len(basis_idx) != span_dim(ws):
         raise DegenerateSpan("both spans must be non-degenerate")
-    # rank(N) = len(basis_idx) makes the basis submatrix N_B invertible
-    inverse, q = _inverse_nums([[nv[i][j] for j in basis_idx] for i in basis_idx])
+    inverse, q = solved
     den = space._sparse[1] if vs else 1
     d = [dv[i] for i in basis_idx]
     gram_inv = tuple(tuple(Fraction(den * d[i] * a * d[j], q) if a else _ZERO

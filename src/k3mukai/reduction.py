@@ -11,7 +11,9 @@ the Hilbert scheme of n points pins down the target invariants:
     c1(beta).L = c1(alpha).L,
     u'         = rho * u.
 
-This module works with the numeric invariants only; universality guarantees
+The pairings are those of four Mukai vectors in the plane spanned by c1(alpha)
+and L (see PairingList), read off lattice.gram_matrix; the reduction is the
+statement that both sides have one Gram matrix, and universality guarantees
 the integrals see nothing else.  segre_verlinde evaluates every Segre and
 Verlinde number through this map, at rank one.  The two-dimensional case has
 a closed-form evaluation, which doubles as an independent consistency check
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lattice import MukaiVector, QuadraticSpace, gram_matrix
 from .segre_verlinde import SegreParams, segre_number
 from .series import _check_ints, _frac, _json_number
 
@@ -85,11 +88,14 @@ class ReductionTarget:
 class PairingList:
     """The pairings the integrals depend on.
 
-    alpha_v, alpha_p, alpha_alpha are the pairings of the normalised class
-    built from alpha against the moduli vector, the (scaled) point class and
-    itself; L_pairs collects (v.L, alpha.L, L.L)-type entries, whose first
-    component is identically zero; u_pairs are the point-class pairings
-    scaled by the exponential weight.
+    They are entries of the Gram matrix of four Mukai vectors in the plane
+    with Gram matrix ((c1(alpha)^2, c1(alpha).L), (c1(alpha).L, L^2)): the
+    moduli vector v = (rho, 0, (1-n)/rho), the class alpha = (rk, -c1, v2)
+    (the sign makes alpha.L = -c1.L), the scaled point class (0, 0, 1/rho)
+    and L = (0, L, 0).  alpha_v, alpha_p and alpha_alpha pair alpha with v,
+    the point class and itself; L_pairs is (v.L, alpha.L, L.L), whose first
+    entry is identically zero; u_pairs is (v.p, alpha.p, L.p) times the
+    exponential weight u*rho.  The Hilbert-scheme side is rho = 1.
     """
 
     alpha_v: Fraction
@@ -131,40 +137,41 @@ def reduce_to_hilbert(m: ModuliData) -> ReductionTarget:
     )
 
 
-def dependence_pairings(m: ModuliData) -> PairingList:
-    """The moduli-side pairing list, in closed form.
+def _pairing_vectors(rho: int, n: int, alpha: KClassInvariants,
+                     Lsq: Fraction) -> list[MukaiVector]:
+    """The vectors (v, alpha, point class, L) of PairingList, at rank rho."""
+    plane = QuadraticSpace(((alpha.c1sq, alpha.c1L), (alpha.c1L, Lsq)))
+    return [
+        MukaiVector(plane, rho, (0, 0), Fraction(1 - n, rho)),
+        MukaiVector(plane, alpha.rank, (-1, 0), alpha.v2),
+        MukaiVector(plane, 0, (0, 0), Fraction(1, rho)),
+        MukaiVector(plane, 0, (0, 1), 0),
+    ]
 
-    With vv = 2n - 2:
-      alpha_v     = -v2(alpha)*rho + (rk(alpha)/rho) * vv / 2
-      alpha_p     = -rk(alpha)/rho
-      alpha_alpha = c1(alpha)^2 - 2 rk(alpha) v2(alpha)
-      L_pairs     = (0, -c1(alpha).L, L^2)
-      u_pairs     = u*rho * (-1, -rk(alpha)/rho, 0)
+
+def _pairing_list(rho: int, n: int, alpha: KClassInvariants, Lsq: Fraction,
+                  weight: Fraction) -> PairingList:
+    """PairingList read off the Gram matrix of `_pairing_vectors`."""
+    g = gram_matrix(_pairing_vectors(rho, n, alpha, Lsq))
+    return PairingList(alpha_v=g[1][0], alpha_p=g[1][2], alpha_alpha=g[1][1],
+                       L_pairs=(g[0][3], g[1][3], g[3][3]),
+                       u_pairs=(weight * g[0][2], weight * g[1][2], weight * g[3][2]))
+
+
+def dependence_pairings(m: ModuliData) -> PairingList:
+    """The moduli-side pairing list: v = (rho, 0, (1-n)/rho), the point class
+    scaled by 1/rho and weight u*rho.  With vv = 2n - 2 its entries are
+      alpha_v = -v2(alpha)*rho + (rk(alpha)/rho) * vv / 2,  alpha_p = -rk(alpha)/rho,
+      alpha_alpha = c1(alpha)^2 - 2 rk(alpha) v2(alpha),  L_pairs = (0, -c1(alpha).L, L^2),
+      u_pairs = u*rho * (-1, -rk(alpha)/rho, 0).
     """
-    a = m.alpha
-    rho = Fraction(m.rho)
-    vv = Fraction(2 * m.n - 2)
-    alpha_p = -a.rank / rho
-    return PairingList(
-        alpha_v=-a.v2 * rho + Fraction(1, 2) * (a.rank / rho) * vv,
-        alpha_p=alpha_p,
-        alpha_alpha=a.c1sq - 2 * a.rank * a.v2,
-        L_pairs=(Fraction(0), -a.c1L, m.Lsq),
-        u_pairs=(-m.u * rho, m.u * rho * alpha_p, Fraction(0)),
-    )
+    return _pairing_list(m.rho, m.n, m.alpha, m.Lsq, m.u * m.rho)
 
 
 def hilbert_pairings(t: ReductionTarget) -> PairingList:
-    """The same pairing list computed on the Hilbert-scheme side."""
-    b = t.beta
-    vv = Fraction(2 * t.n - 2)
-    return PairingList(
-        alpha_v=-b.v2 + Fraction(1, 2) * b.rank * vv,
-        alpha_p=-b.rank,
-        alpha_alpha=b.c1sq - 2 * b.rank * b.v2,
-        L_pairs=(Fraction(0), -b.c1L, t.Lsq),
-        u_pairs=(-t.u_prime, -t.u_prime * b.rank, Fraction(0)),
-    )
+    """The same pairing list on the Hilbert-scheme side: v = (1, 0, 1-n), the
+    point class, beta in place of alpha and weight u'."""
+    return _pairing_list(1, t.n, t.beta, t.Lsq, t.u_prime)
 
 
 def c2_from_v2(rank: Fraction, c1sq: Fraction, v2: Fraction) -> Fraction:

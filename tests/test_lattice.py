@@ -30,8 +30,7 @@ from k3mukai.lattice import (
     NotInSpan,
     QuadraticSpace,
     SpaceMismatch,
-    _combine,
-    _combine_form,
+    _combine_nums,
     _eliminate,
     _forms,
     _greedy_basis_indices,
@@ -53,6 +52,7 @@ from k3mukai.lattice import (
     span_dim,
     span_isometry,
 )
+from k3mukai.reduction import KClassInvariants, ModuliData, _pairing_vectors, reduce_to_hilbert
 from k3mukai.series import _integer_coeffs
 from test_lattice_golden import GENERIC
 
@@ -320,10 +320,10 @@ def test_lattice_checks_survive_python_optimize():
                 raised.append(str(exc))
             else:
                 raised.append(None)
-        greedy, combine = L._greedy_basis_indices, L._combine
-        L._combine = lambda coeffs, forms, length: [0] * length  # w = 0
+        greedy, combine = L._greedy_basis_indices, L._combine_nums
+        L._combine_nums = lambda cn, cd, forms, length: ([0] * length, 1)  # w = 0
         attempt(lambda: L.nondegenerate_reduction(v, [f, x]))
-        L._combine = combine
+        L._combine_nums = combine
         L._greedy_basis_indices = lambda forms: greedy(forms)[:-1]  # basis misses x
         attempt(lambda: L.nondegenerate_reduction(v, [f, x]))
         L._greedy_basis_indices = greedy
@@ -590,6 +590,16 @@ def test_isometry_degenerate_span():
         span_isometry([x], [x])
 
 
+def test_isometry_refuses_a_degenerate_span_on_either_side():
+    # equal Gram matrices (every entry 2), but e + f adds an isotropic class
+    # orthogonal to e, so the span of [e, e + f] is degenerate of dimension 2
+    e, f = k3_vec(0, 0, c0=1, c1=1), isotropic_u_vector(1)
+    for vs, ws in (([e, e], [e, e + f]), ([e, e + f], [e, e])):
+        assert gram_matrix(vs) == gram_matrix(ws)
+        with pytest.raises(DegenerateSpan):
+            span_isometry(vs, ws)
+
+
 def test_isometry_rejects_vector_outside_span():
     v = hilbert_scheme_vector(K3, 3)
     iso = span_isometry([v], [v])
@@ -627,6 +637,41 @@ def test_isometry_compares_grams_across_denominators():
     assert a._form[1] == 1 and b._form[1] == 2 and gram_matrix([a]) == gram_matrix([b])
     assert span_isometry([a], [b]).apply(a) == b
     assert span_isometry([b], [a]).apply(b) == a
+
+
+def test_the_reduction_to_the_hilbert_scheme_is_a_span_isometry():
+    # the moduli-side vectors (v, alpha, point/rho, L) and the Hilbert-side
+    # ones (v_n, beta, point, L) of the pairing lists live in one plane and
+    # have one Gram matrix; their span is degenerate exactly when the plane
+    # is, and then the isometry exists after removing the radical (v.v >= 2
+    # needs n >= 2)
+    rng = random.Random(2329)
+    direct = reduced = 0
+    for _ in range(300):
+        alpha = KClassInvariants(rank=rng.randint(-10, 10), c1sq=2 * rng.randint(-2, 2),
+                                 c1L=rng.randint(-3, 3), v2=rng.randint(-10, 10))
+        m = ModuliData(rho=rng.randint(1, 5), n=rng.randint(1, 6), alpha=alpha,
+                       Lsq=rng.randint(-4, 4), u=rng.randint(-10, 10))
+        t = reduce_to_hilbert(m)
+        moduli = _pairing_vectors(m.rho, m.n, m.alpha, m.Lsq)
+        hilbert = _pairing_vectors(1, t.n, t.beta, t.Lsq)
+        assert {x.space for x in [*moduli, *hilbert]} == {moduli[0].space}
+        gram = gram_matrix(moduli)
+        assert gram_matrix(hilbert) == gram
+        if gram_rank(gram) == span_dim(moduli):
+            iso = span_isometry(moduli, hilbert)
+            direct += 1
+        else:
+            with pytest.raises(DegenerateSpan):
+                span_isometry(moduli, hilbert)
+            if m.n < 2:
+                continue
+            (v, *xs), (w, *ys) = moduli, hilbert
+            iso = span_isometry([v, *nondegenerate_reduction(v, xs)],
+                                [w, *nondegenerate_reduction(w, ys)])
+            reduced += 1
+        assert iso.apply(moduli[0]) == hilbert[0]
+    assert direct > 250 and reduced > 10
 
 
 fraction_entries_5 = st.fractions(min_value=-6, max_value=6, max_denominator=5)
@@ -714,8 +759,7 @@ def test_cached_form_stays_out_of_eq_hash_and_repr():
 def test_combine_form_gives_the_fraction_combination(data):
     coeffs, rows = data
     expected = [sum((c * row[i] for c, row in zip(coeffs, rows)), F(0)) for i in range(5)]
-    assert _combine(coeffs, _forms(rows), 5) == expected
-    assert _combine_form(coeffs, _forms(rows), 5) == _integer_coeffs(expected)
+    assert _combine_nums(*_integer_coeffs(coeffs), _forms(rows), 5) == _integer_coeffs(expected)
 
 
 # -- JSON ------------------------------------------------------------------------

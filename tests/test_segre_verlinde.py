@@ -20,6 +20,7 @@ from helpers import (
     verlinde_by_reversion,
     vwx_by_powers,
 )
+from k3mukai.lattice import MukaiVector, k3_lattice, mukai_pairing
 from k3mukai.series import OrderExceeded, TruncatedSeries, constant, identity
 from k3mukai.segre_verlinde import (
     CorrespondenceReport,
@@ -465,6 +466,28 @@ def test_verlinde_numbers_are_segre_numbers_at_r_over_rho(rho):
         c2, c1sq = chi + (r_one - 1) * (1 - n), 2 * chi - 4 - 2 * r_one
         segre = _lagrange_buermann([(c2, v), (c1sq, w), (2, x)], change, n)
         assert verlinde_number(VerlindeParams(rho, r, chi, n)) == segre, (r, chi, n)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.integers(-20, 20), st.integers(-30, 30), st.integers(40, 150))
+def test_verlinde_numbers_at_large_n_through_the_mukai_lattice(rho, r, chi, n):
+    """The Riemann-Roch form of K3^[n]-type (Ellingsrud-Goettsche-Lehn),
+    chi = binom(q/2 + n + 1, n), with q read as the Mukai pairing on v^perp:
+    v = (rho, 0, (1-n)/rho) and w = (0, L, 0) + r (1, 0, (n-1)/rho^2), with L
+    = (1, chi - 2) in the first hyperbolic plane, so L^2 = 2 chi - 4.  The
+    same number is the Segre number at s' = 1 + r/rho, c2 = chi + (r'-1)(1-n)
+    and c1sq = 2 chi - 4 - 2r'."""
+    K3 = k3_lattice()
+    L = (1, chi - 2) + (0,) * 20
+    v = MukaiVector(K3, rho, (0,) * 22, F(1 - n, rho))
+    w = MukaiVector(K3, 0, L, 0) + r * MukaiVector(K3, 1, (0,) * 22, F(n - 1, rho**2))
+    assert mukai_pairing(v, w) == 0
+    verlinde = verlinde_number(VerlindeParams(rho, r, chi, n))
+    assert verlinde == comb_any(mukai_pairing(w, w) / 2 + n + 1, n)
+    r_one = F(r, rho)
+    sv, sw, sx, change = _segre_factors(1 + r_one)
+    c2, c1sq = chi + (r_one - 1) * (1 - n), 2 * chi - 4 - 2 * r_one
+    assert verlinde == _lagrange_buermann([(c2, sv), (c1sq, sw), (2, sx)], change, n)
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3, 4])
