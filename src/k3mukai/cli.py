@@ -1,9 +1,10 @@
 """Command-line front end: exact numbers, reductions and identity checks.
 
-Every command prints a single JSON document (rationals as exact "p/q"
+Every command returns a document and a verdict, and prints nothing.  `main`
+alone prints the document, as one JSON document (rationals as exact "p/q"
 strings, keys sorted, byte-stable across runs) or, with --format plain,
-sorted key=value lines.  Exit codes: 0 on success, 1 when a verification
-fails, 2 on input errors.
+sorted key=value lines, and picks the exit code: 0 when the verdict holds,
+1 when a verification fails, 2 on input errors and failed writes.
 """
 
 from __future__ import annotations
@@ -130,25 +131,18 @@ def _load_input(path: str) -> dict:
     return doc
 
 
-# -- single-point commands ----------------------------------------------------
+# -- commands ---------------------------------------------------------------------
+# each returns (document, verified); library calls are looked up when a command
+# runs, so a patched module attribute (a test's fake, a tracer) reaches them
 
 
-def _cmd_segre(args) -> int:
-    params = SegreParams(rho=args.rho, s=args.s, c2=args.c2, c1sq=args.c1sq, n=args.n)
-    value = segre_number(params)
-    _emit({"value": str(value)}, args.format)
-    return EXIT_OK
+def _value(x) -> tuple[dict, bool]:
+    return {"value": str(x)}, True
 
 
-def _cmd_verlinde(args) -> int:
-    params = VerlindeParams(rho=args.rho, r=args.r, chiL=args.chiL, n=args.n)
-    value = verlinde_number(params)
-    _emit({"value": str(value)}, args.format)
-    return EXIT_OK
-
-
-def _report_doc(report) -> dict:
-    return {
+def _check_sv(rho: int, r: int, order: int) -> tuple[dict, bool]:
+    report = check_correspondence(rho, r, order)
+    doc = {
         "rho": report.rho,
         "r": report.r,
         "order": report.order,
@@ -156,13 +150,11 @@ def _report_doc(report) -> dict:
         "f_identity": report.f_identity_holds,
         "first_discrepant_order": report.first_discrepant_order,
     }
+    return doc, report.g_identity_holds and report.f_identity_holds
 
 
-def _cmd_check_sv(args) -> int:
-    report = check_correspondence(args.rho, args.r, args.order)
-    _emit(_report_doc(report), args.format)
-    ok = report.g_identity_holds and report.f_identity_holds
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
+def _cross_check(rho: int, s: int, c2: int, c1sq: int) -> tuple[dict, bool]:
+    return {"rho": rho, "s": s, "c2": c2, "c1sq": c1sq}, segre_cross_check(rho, s, c2, c1sq)
 
 
 def _moduli_from_args(args, n: int | None = None) -> ModuliData:
@@ -180,18 +172,6 @@ def _moduli_from_args(args, n: int | None = None) -> ModuliData:
     )
 
 
-def _cmd_reduce(args) -> int:
-    target = reduce_to_hilbert(_moduli_from_args(args))
-    _emit(reduction_target_to_json(target), args.format)
-    return EXIT_OK
-
-
-def _cmd_dim2(args) -> int:
-    value = dim2_evaluate(_moduli_from_args(args, n=1))
-    _emit({"value": str(value)}, args.format)
-    return EXIT_OK
-
-
 def _vectors_from_input(path: str):
     obj = _load_input(path)
     xs = obj.get("xs", [])
@@ -202,53 +182,32 @@ def _vectors_from_input(path: str):
     return mukai_vector_from_json(obj["v"]), [mukai_vector_from_json(item) for item in xs]
 
 
-def _cmd_fingerprint(args) -> int:
-    v, xs = _vectors_from_input(args.input)
-    fp = fingerprint(v, xs)
-    doc = {"fingerprint": [[str(x) for x in row] for row in fp.matrix]}
-    _emit(doc, args.format)
-    return EXIT_OK
+def _matrix_text(matrix) -> list[list[str]]:
+    return [[str(x) for x in row] for row in matrix]
 
 
-def _cmd_span_reduce(args) -> int:
+def _cmd_span_reduce(args) -> tuple[dict, bool]:
     v, xs = _vectors_from_input(args.input)
     ys = nondegenerate_reduction(v, xs)
-    fp = fingerprint(v, ys)  # the Gram matrix of [v, *ys]
+    fp = fingerprint(v, ys).matrix  # the Gram matrix of [v, *ys]
     doc = {
         "ys": [mukai_vector_to_json(y) for y in ys],
-        "fingerprint": [[str(x) for x in row] for row in fp.matrix],
-        "gram_rank": gram_rank(fp.matrix),
+        "fingerprint": _matrix_text(fp),
+        "gram_rank": gram_rank(fp),
         "span_dim": span_dim([v, *ys]),
     }
-    _emit(doc, args.format)
-    return EXIT_OK
+    return doc, True
 
 
-# -- sweeps ---------------------------------------------------------------------
-
-
-def _sweep_point_check_sv(point) -> dict:
-    rho, r, order = point
-    report = check_correspondence(rho, r, order)
-    doc = _report_doc(report)
-    doc["ok"] = report.g_identity_holds and report.f_identity_holds
-    return doc
-
-
-def _sweep_point_cross_check(point) -> dict:
-    rho, s, c2, c1sq = point
-    ok = segre_cross_check(rho, s, c2, c1sq)
-    return {"rho": rho, "s": s, "c2": c2, "c1sq": c1sq, "ok": ok}
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[dict, bool]:
     if args.target == "check-sv":
-        evaluate, grids = _sweep_point_check_sv, (args.rho, args.r, [args.order])
+        evaluate, grids = _check_sv, (args.rho, args.r, [args.order])
     else:
-        evaluate, grids = _sweep_point_cross_check, (args.rho, args.s, args.c2, args.c1sq)
+        evaluate, grids = _cross_check, (args.rho, args.s, args.c2, args.c1sq)
     if math.prod(map(len, grids)) > MAX_GRID_POINTS:
         raise ValueError(f"a sweep may have at most {MAX_GRID_POINTS} points")
-    results = [evaluate(p) for p in itertools.product(*grids)]
+    points = itertools.starmap(evaluate, itertools.product(*grids))
+    results = [{**doc, "ok": ok} for doc, ok in points]
     failures = [r for r in results if not r["ok"]]
     doc = {
         "command": args.target,
@@ -257,8 +216,7 @@ def _cmd_sweep(args) -> int:
         "all_ok": not failures,
         "points": results,
     }
-    _emit(doc, args.format)
-    return EXIT_OK if not failures else EXIT_VERIFICATION_FAILED
+    return doc, not failures
 
 
 # -- parser ------------------------------------------------------------------------
@@ -283,20 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--c1sq", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_segre)
+    p.set_defaults(func=lambda a: _value(segre_number(
+        SegreParams(rho=a.rho, s=a.s, c2=a.c2, c1sq=a.c1sq, n=a.n))))
 
     p = sub.add_parser("verlinde", help="one Verlinde number")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--chiL", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_verlinde)
+    p.set_defaults(func=lambda a: _value(verlinde_number(
+        VerlindeParams(rho=a.rho, r=a.r, chiL=a.chiL, n=a.n))))
 
     p = sub.add_parser("check-sv", help="verify the Segre-Verlinde correspondence")
     p.add_argument("--rho", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--order", type=int, default=12)
-    p.set_defaults(func=_cmd_check_sv)
+    p.set_defaults(func=lambda a: _check_sv(a.rho, a.r, a.order))
 
     p = sub.add_parser("reduce", help="reduce moduli data to Hilbert-scheme data")
     p.add_argument("--rho", type=int)
@@ -305,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Lsq", type=_parse_fraction, default=Fraction(0))
     p.add_argument("--u", type=_parse_fraction, default=Fraction(0))
     p.add_argument("--input", help="JSON file with the moduli data")
-    p.set_defaults(func=_cmd_reduce)
+    p.set_defaults(func=lambda a: (
+        reduction_target_to_json(reduce_to_hilbert(_moduli_from_args(a))), True))
 
     p = sub.add_parser("dim2", help="closed-form evaluation at n = 1")
     p.add_argument("--rho", type=int)
@@ -313,11 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Lsq", type=_parse_fraction, default=Fraction(0))
     p.add_argument("--u", type=_parse_fraction, default=Fraction(0))
     p.add_argument("--input", help="JSON file with the moduli data")
-    p.set_defaults(func=_cmd_dim2)
+    p.set_defaults(func=lambda a: _value(dim2_evaluate(_moduli_from_args(a, n=1))))
 
     p = sub.add_parser("fingerprint", help="pairing matrix of v and classes x_i")
     p.add_argument("--input", required=True, help='JSON file {"v": ..., "xs": [...]}')
-    p.set_defaults(func=_cmd_fingerprint)
+    p.set_defaults(func=lambda a: ({"fingerprint": _matrix_text(
+        fingerprint(*_vectors_from_input(a.input)).matrix)}, True))
 
     p = sub.add_parser(
         "span-reduce", help="replace classes so the span becomes non-degenerate"
@@ -345,12 +307,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT_ERROR
     try:
-        return args.func(args)
+        doc, verified = args.func(args)
+        _emit(doc, args.format)
     except (ArithmeticError, LookupError, OSError, TypeError, ValueError) as exc:
         # malformed input (bad JSON shapes, zero denominators, missing keys)
-        # is an input error, never a failed verification
+        # and a failed write are input errors, never a failed verification
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_OK if verified else EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -508,24 +508,24 @@ class SpanIsometry:
 
     basis: tuple[MukaiVector, ...]
     images: tuple[MukaiVector, ...]
-    gram_inverse: Matrix
-    # integer data, built once; derived, so not in ==, hash or repr
+    # (rows, q): the coordinates of x are rows.P / (q d_x), P its pairing
+    # numerators with the basis (see `span_isometry`); not in ==, hash or repr
+    _solve: tuple[list[list[int]], int] = field(repr=False, compare=False)
     _dual_forms: list = field(init=False, repr=False, compare=False)
-    _solve: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        forms, k = [b._form for b in self.basis], len(self.basis)
-        space = self.basis[0].space if forms else None
-        object.__setattr__(self, "_dual_forms", _duals(space, forms) if forms else [])
-        # <x, v_a> = P_a / (den d_x d_a) with P the pairing numerators, so the
-        # coordinates G^-1 <x, v> of x are A.P / (q d_x) with A / q = G^-1 D^-1 / den;
-        # over G^-1's common denominator e and the lcm m of the d_a, q = e den m
-        nums, e = _integer_coeffs([g for row in self.gram_inverse for g in row])
-        m = lcm(*(d for _, d in forms))
-        rows = [[a * (m // d) for a, (_, d) in zip(nums[i * k:(i + 1) * k], forms)]
-                for i in range(k)]
-        den = space._sparse[1] if forms else 1
-        object.__setattr__(self, "_solve", (rows, e * den * m))
+        forms = [b._form for b in self.basis]
+        object.__setattr__(self, "_dual_forms",
+                           _duals(self.basis[0].space, forms) if forms else [])
+
+    @cached_property
+    def gram_inverse(self) -> Matrix:
+        """The inverse of the basis Gram matrix: den rows_ij d_j / q."""
+        rows, q = self._solve
+        den = self.basis[0].space._sparse[1] if rows else 1
+        ds = [b._form[1] for b in self.basis]
+        return tuple(tuple(Fraction(den * a * d, q) if a else _ZERO for a, d in zip(row, ds))
+                     for row in rows)
 
     def _coefficients(self, x: MukaiVector) -> tuple[list[int], int]:
         """Coordinates of x in the source basis, as integers over one denominator."""
@@ -587,12 +587,11 @@ def span_isometry(
     if solved is None or len(basis_idx) != span_dim(ws):
         raise DegenerateSpan("both spans must be non-degenerate")
     inverse, q = solved
-    den = space._sparse[1] if vs else 1
-    d = [dv[i] for i in basis_idx]
-    gram_inv = tuple(tuple(Fraction(den * d[i] * a * d[j], q) if a else _ZERO
-                           for j, a in enumerate(row))
-                     for i, row in enumerate(inverse))
-    iso = SpanIsometry(tuple(vs[i] for i in basis_idx), tuple(ws[i] for i in basis_idx), gram_inv)
+    # G_B^-1 = den D N_B^-1 D; the coordinates of x are G_B^-1 <x, v> with
+    # <x, v_a> = P_a / (den d_x d_a), so D N_B^-1 over q gives them from P
+    rows = [[dv[i] * a for a in row] for i, row in zip(basis_idx, inverse)]
+    iso = SpanIsometry(tuple(vs[i] for i in basis_idx), tuple(ws[i] for i in basis_idx),
+                       (rows, q))
     for x, w in zip(vs, ws):
         if iso.apply(x)._form != w._form:
             raise GramMismatch("the span isometry does not map each v_i to w_i")

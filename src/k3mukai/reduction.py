@@ -190,9 +190,9 @@ def dim2_evaluate(m: ModuliData) -> Fraction:
     """
     if m.n != 1:
         raise DimensionMismatch(f"closed form needs n = 1, got n = {m.n}")
-    beta = reduce_to_hilbert(m).beta
-    c2 = c2_from_v2(beta.rank, beta.c1sq, beta.v2)
-    return c2 + beta.c1L + m.Lsq / 2 + m.u * m.rho
+    target = reduce_to_hilbert(m)
+    beta = target.beta
+    return c2_from_v2(beta.rank, beta.c1sq, beta.v2) + beta.c1L + target.Lsq / 2 + target.u_prime
 
 
 def segre_cross_check(rho: int, s: int, c2: int, c1sq: int) -> bool:

@@ -191,6 +191,41 @@ def test_sweep_empty_grid(capsys):
     }
 
 
+def _failing_report(rho, r, order):
+    from k3mukai.segre_verlinde import CorrespondenceReport
+
+    return CorrespondenceReport(rho, r, order, True, False, 3)
+
+
+@pytest.mark.parametrize("target, name, grid, bad, failing, verdict", [
+    ("check-sv", "check_correspondence", ["--rho", "1:2", "--r", "-1:1", "--order", "8"],
+     {"rho": 2, "r": 0, "order": 8}, _failing_report,
+     {"g_identity": True, "f_identity": False, "first_discrepant_order": 3}),
+    ("cross-check", "segre_cross_check",
+     ["--rho", "1:2", "--s", "1:2", "--c2", "-1:1", "--c1sq", "0"],
+     {"rho": 2, "s": 1, "c2": 0, "c1sq": 0}, lambda *point: False, {}),
+], ids=["check-sv", "cross-check"])
+def test_sweep_failure_maps_to_exit_one(capsys, monkeypatch, target, name, grid, bad,
+                                        failing, verdict):
+    import k3mukai.cli as cli
+
+    code, passing, _ = run_json(capsys, "sweep", target, *grid)
+    assert (code, passing["all_ok"]) == (0, True)
+    real, bad_point = getattr(cli, name), tuple(bad.values())
+    monkeypatch.setattr(
+        cli, name, lambda *point: (failing if point == bad_point else real)(*point))
+    code, doc, _ = run_json(capsys, "sweep", target, *grid)
+    failure = {**bad, **verdict, "ok": False}
+    assert code == 1
+    assert (doc["all_ok"], doc["failures"]) == (False, [failure])
+    assert doc["total"] == passing["total"]
+    # the same points in the same order, with only the bad one changed
+    at_bad = [{key: point[key] for key in bad} == bad for point in passing["points"]]
+    assert at_bad.count(True) == 1
+    assert doc["points"] == [failure if hit else point
+                             for hit, point in zip(at_bad, passing["points"])]
+
+
 def test_usage_error_exit_code(capsys):
     code, out, err = run_cli(capsys, "segre", "--rho", "1")
     assert code == 2
@@ -438,6 +473,41 @@ def test_plain_format(capsys):
     )
     assert code == 0
     assert out == 'value="3"\n'
+
+
+def test_module_entry_point_matches_main(capsys):
+    import os
+    import subprocess
+    import sys
+
+    def run_module(*argv):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        ran = subprocess.run([sys.executable, "-m", "k3mukai", *argv],
+                             capture_output=True, env=env, check=False)
+        return ran.returncode, ran.stdout, ran.stderr.decode()
+
+    argv = ["segre", "--rho", "2", "--s", "1/2", "--c2", "1", "--c1sq", "2", "--n", "3"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert run_module(*argv) == (0, out.encode(), "")
+    code, out, err = run_module("segre", "--rho", "1", "--s", "1/0", "--c2", "3",
+                                "--c1sq", "0", "--n", "2")
+    assert (code, out) == (2, b"")
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_failed_write_is_one_error_line(capsys, monkeypatch):
+    import sys
+
+    def broken_pipe(text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys.stdout, "write", broken_pipe)
+    code = main(["check-sv", "--rho", "3", "--r", "2"])
+    monkeypatch.undo()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: [Errno 32] Broken pipe\n"
 
 
 def _every_command_argv(tmp_path):
