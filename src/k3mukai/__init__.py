@@ -1,11 +1,13 @@
 """Exact Segre and Verlinde numbers of sheaf moduli on K3 surfaces.
 
-The package has four layers: an exact truncated-power-series engine over
-the rationals (`series`), the Mukai lattice with its pairing and exact
-linear algebra (`lattice`), the closed-form Segre and Verlinde series with
-the correspondence check (`segre_verlinde`), and the reduction of
-moduli-space integral data to Hilbert-scheme data (`reduction`).  A CLI
-(`k3mukai` or `python -m k3mukai`) fronts all of it.
+The package has three layers: the Mukai lattice with its pairing and exact
+linear algebra (`lattice`), the closed-form Segre and Verlinde numbers at
+rank one with the one reduction map from rank rho and the correspondence
+check (`segre_verlinde`), and the reduction of moduli-space integral data to
+Hilbert-scheme data on that map (`reduction`).  A CLI (`k3mukai` or
+`python -m k3mukai`) fronts all of it.  The exact truncated-power-series
+engine (`series`) is the tests' independent oracle; only its small input
+helpers serve the numbers.
 """
 
 from .lattice import (

@@ -334,10 +334,6 @@ class FingerprintMatrix:
     def __post_init__(self):
         object.__setattr__(self, "matrix", _matrix(self.matrix))
 
-    @property
-    def size(self) -> int:
-        return len(self.matrix)
-
 
 def fingerprint(v: MukaiVector, xs: Sequence[MukaiVector]) -> FingerprintMatrix:
     """The (k+1) x (k+1) matrix of pairings among v, x_1, ..., x_k."""

@@ -14,10 +14,12 @@ the Hilbert scheme of n points pins down the target invariants:
 The pairings are those of four Mukai vectors in the plane spanned by c1(alpha)
 and L (see PairingList), read off lattice.gram_matrix; the reduction is the
 statement that both sides have one Gram matrix, and universality guarantees
-the integrals see nothing else.  segre_verlinde evaluates every Segre and
-Verlinde number through this map, at rank one.  The two-dimensional case has
-a closed-form evaluation, which doubles as an independent consistency check
-against the coefficient-extraction route at n = 1.
+the integrals see nothing else.  The map itself is segre_verlinde._rank_one,
+and the relation v2 = rank + c1^2/2 - c2 is segre_verlinde.c2_from_v2, so
+reduce_to_hilbert and every Segre and Verlinde number, evaluated at rank one,
+share one copy of each.  The two-dimensional case has a closed-form
+evaluation, which doubles as an independent consistency check against the
+coefficient-extraction route at n = 1.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import MukaiVector, QuadraticSpace, gram_matrix
-from .segre_verlinde import SegreParams, segre_number
+from .segre_verlinde import SegreParams, _rank_one, c2_from_v2, segre_number
 from .series import _check_ints, _frac, _json_number
 
 
@@ -59,7 +61,7 @@ class ModuliData:
     u: Fraction
 
     def __post_init__(self):
-        _check_ints(self, "rho", "n")
+        _check_ints(rho=self.rho, n=self.n)
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
         if self.n < 1:
@@ -116,13 +118,8 @@ def reduce_to_hilbert(m: ModuliData) -> ReductionTarget:
     integer, no integral K-theory class realises the target invariants; the
     formal reduction is still returned, with a warning recorded.
     """
-    rho = m.rho
-    beta = KClassInvariants(
-        rank=m.alpha.rank / rho,
-        c1sq=m.alpha.c1sq,
-        c1L=m.alpha.c1L,
-        v2=rho * m.alpha.v2,
-    )
+    rank, v2, u_prime = _rank_one(m.rho, m.alpha.rank, m.alpha.v2, m.u)
+    beta = KClassInvariants(rank=rank, c1sq=m.alpha.c1sq, c1L=m.alpha.c1L, v2=v2)
     warnings = []
     if not _is_integer(beta.rank):
         warnings.append(
@@ -133,7 +130,7 @@ def reduce_to_hilbert(m: ModuliData) -> ReductionTarget:
             f"c1^2 = {beta.c1sq} is not an even integer; no integral class realises these invariants"
         )
     return ReductionTarget(
-        n=m.n, beta=beta, Lsq=m.Lsq, u_prime=rho * m.u, warnings=tuple(warnings)
+        n=m.n, beta=beta, Lsq=m.Lsq, u_prime=u_prime, warnings=tuple(warnings)
     )
 
 
@@ -172,12 +169,6 @@ def hilbert_pairings(t: ReductionTarget) -> PairingList:
     """The same pairing list on the Hilbert-scheme side: v = (1, 0, 1-n), the
     point class, beta in place of alpha and weight u'."""
     return _pairing_list(1, t.n, t.beta, t.Lsq, t.u_prime)
-
-
-def c2_from_v2(rank: Fraction, c1sq: Fraction, v2: Fraction) -> Fraction:
-    """Invert v2 = rank + c1^2/2 - c2; the relation is symmetric, so the
-    same call also gives v2 from c2."""
-    return rank + c1sq / 2 - v2
 
 
 def dim2_evaluate(m: ModuliData) -> Fraction:
@@ -240,16 +231,6 @@ def k_class_from_json(obj: dict, name: str = "a K-class") -> KClassInvariants:
     return KClassInvariants(**{k: _json_number(obj[k], k) for k in keys})
 
 
-def moduli_data_to_json(m: ModuliData) -> dict:
-    return {
-        "rho": m.rho,
-        "n": m.n,
-        "alpha": k_class_to_json(m.alpha),
-        "Lsq": str(m.Lsq),
-        "u": str(m.u),
-    }
-
-
 def moduli_data_from_json(obj: dict) -> ModuliData:
     _require_keys(obj, "the input", ("rho", "n", "alpha", "Lsq", "u"))
     return ModuliData(
@@ -269,14 +250,3 @@ def reduction_target_to_json(t: ReductionTarget) -> dict:
         "u_prime": str(t.u_prime),
         "warnings": list(t.warnings),
     }
-
-
-def reduction_target_from_json(obj: dict) -> ReductionTarget:
-    _require_keys(obj, "the input", ("n", "beta", "Lsq", "u_prime"))
-    return ReductionTarget(
-        n=int(_json_number(obj["n"], "n", integer=True)),
-        beta=k_class_from_json(obj["beta"], "beta"),
-        Lsq=_json_number(obj["Lsq"], "Lsq"),
-        u_prime=_json_number(obj["u_prime"], "u_prime"),
-        warnings=tuple(obj.get("warnings", ())),
-    )

@@ -19,9 +19,9 @@ chi = [w^n] ( G_r^chi(L) * F_r ), with chi of the structure sheaf, 2, baked in:
 
 At rank rho, with s' = s/rho, the series are V_s'^rho, W_s' V_s'^((1-rho)/2)
 and X_s' V_s'^(-s'(rho^2-1)/2) under the same change, so a Segre number is
-the rank-one one at s' and c2' = s' + c1^2/2 - rho (s + c1^2/2 - c2), with
-the same c1^2: the map of reduce_to_hilbert (rank s/rho, v2 = rho v2(alpha),
-v2 = rank + c1^2/2 - c2).  F and G see (rho, r) only through r' = r/rho.
+the rank-one one at the image of the reduction map (reduction.py): rank
+s' = s/rho, v2' = rho v2 and the same c1^2, with v2 = rank + c1^2/2 - c2 on
+either side.  F and G see (rho, r) only through r' = r/rho.
 The two families satisfy an exact correspondence under s = 1 + r and
 nu = t (1 - rt)^(-1), F_r = W_s^(-4s) X_s^2 and G_r = V_s W_s^2, which
 check_correspondence verifies exactly in t at r'; from order 3 on, its
@@ -31,7 +31,9 @@ c2 = chi + (r-1)(1-n) and c1^2 = 2 chi - 4 - 2r, and so at r' for every rho.
 
 Every factor is a binomial power (1 + ct)^e, so each series is an exponent
 map, a list of pairs (c, e).  _segre_factors and _verlinde_factors are the
-one rank-one table of these maps, and _rank_one the one step from rank rho.
+one rank-one table of these maps.  _rank_one is the one reduction map, which
+every number, check and builder here and reduce_to_hilbert go through, and
+c2_from_v2 the one relation between c2 and v2.
 No number needs series reversion: by Lagrange-Buermann, [z^n] H(t(z)) =
 [t^n] H (t/z)^(n+1) z', and for z = t (1+ct)^e that factor is one more map.
 Merged (_merged), each integrand has at most two bases, so each number is a
@@ -67,7 +69,7 @@ class SegreParams:
     n: int
 
     def __post_init__(self):
-        _check_ints(self, "rho", "c2", "c1sq", "n")
+        _check_ints(rho=self.rho, c2=self.c2, c1sq=self.c1sq, n=self.n)
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
         if self.n < 0:
@@ -85,18 +87,26 @@ class VerlindeParams:
     n: int
 
     def __post_init__(self):
-        _check_ints(self, "rho", "r", "chiL", "n")
+        _check_ints(rho=self.rho, r=self.r, chiL=self.chiL, n=self.n)
         if self.rho < 1:
             raise ValueError("rho must be a positive integer")
         if self.n < 0:
             raise ValueError("n must be non-negative")
 
 
-def _rank_one(rho: int, x) -> Fraction:
-    """x / rho: the rank-one value s' = s/rho or r' = r/rho at rank rho."""
+def _rank_one(rho: int, rank, *scaled) -> tuple:
+    """The reduction map from rank rho to rank one: (rank/rho, rho*x, ...)
+    for x in `scaled`, which are v2 and the point weight u where they enter.
+    A rank alone, s or r, maps to the one-tuple (s',) or (r',)."""
     if rho < 1:
         raise ValueError("rho must be a positive integer")
-    return Fraction(x, rho)
+    return (Fraction(rank, rho), *[rho * x for x in scaled])
+
+
+def c2_from_v2(rank: Fraction, c1sq: Fraction, v2: Fraction) -> Fraction:
+    """Invert v2 = rank + c1^2/2 - c2; the relation is symmetric, so the
+    same call also gives v2 from c2."""
+    return rank + c1sq / 2 - v2
 
 
 def _segre_factors(s):
@@ -184,7 +194,7 @@ def _change_series(change, order: int) -> TruncatedSeries:
 
 def build_vwx(rho: int, s, order: int):
     """(V, W, X) in t at rank rho, exact to `order`, lifted from s' = s/rho."""
-    s = _rank_one(rho, s)
+    s, = _rank_one(rho, s)
     v, w, x, _ = _segre_factors(s)
     lifted = ([(rho, v)], [(1, w), (Fraction(1 - rho, 2), v)],
               [(1, x), (-s * (rho * rho - 1) / 2, v)])
@@ -193,11 +203,13 @@ def build_vwx(rho: int, s, order: int):
 
 def segre_variable_change(rho: int, s, order: int) -> TruncatedSeries:
     """t as a series in z, inverting z = t (1 + (1-s/rho) t)^(1-s/rho)."""
-    return _change_series(_segre_factors(_rank_one(rho, s))[3], order).revert()
+    return _change_series(_segre_factors(*_rank_one(rho, s))[3], order).revert()
 
 
 def segre_number(params: SegreParams) -> Fraction:
-    """[z^n] of V^c2 * W^c1sq * X^2, z = t (1+at)^a, by Lagrange-Buermann at (s', c2').
+    """[z^n] of V^c2 * W^c1sq * X^2, z = t (1+at)^a, by Lagrange-Buermann at
+    rank one: (s', v2') is the image of (s, v2) under _rank_one, and c2' and
+    v2 are read through c2_from_v2.
 
     The factor (t/z)^(n+1) z' brings (1+abt)^1, which cancels the
     (1+abt)^(-1) of X^2 when the bases are merged, so the number is
@@ -206,16 +218,16 @@ def segre_number(params: SegreParams) -> Fraction:
     and E_b = c2' s' + c1sq (1-s')/2 + 1 - s'^2, evaluated by the integer
     recurrence of _lagrange_buermann.
     """
-    rho, s, half_c1sq = params.rho, params.s, Fraction(params.c1sq, 2)
-    s_one = _rank_one(rho, s)
-    c2_one = s_one + half_c1sq - rho * (s + half_c1sq - params.c2)
+    s, c1sq = params.s, Fraction(params.c1sq)
+    s_one, v2_one = _rank_one(params.rho, s, c2_from_v2(s, c1sq, params.c2))
+    c2_one = c2_from_v2(s_one, c1sq, v2_one)
     v, w, x, change = _segre_factors(s_one)
     return _lagrange_buermann([(c2_one, v), (params.c1sq, w), (2, x)], change, params.n)
 
 
 def build_fg(rho: int, r: int, order: int):
     """The Verlinde series (F, G) in nu, plus the variable change w(nu)."""
-    f, g, change = _verlinde_factors(_rank_one(rho, r))
+    f, g, change = _verlinde_factors(*_rank_one(rho, r))
     return _series([(1, f)], order), _series([(1, g)], order), _change_series(change, order)
 
 
@@ -227,7 +239,7 @@ def verlinde_number(params: VerlindeParams) -> Fraction:
     so the number is binom(chiL + (1-q)(n-1), n) with q = r'^2 = (r/rho)^2,
     which _lagrange_buermann's recurrence reaches as a first-order one.
     """
-    f, g, change = _verlinde_factors(_rank_one(params.rho, params.r))
+    f, g, change = _verlinde_factors(*_rank_one(params.rho, params.r))
     return _lagrange_buermann([(1, f), (params.chiL, g)], change, params.n)
 
 
@@ -272,7 +284,8 @@ def check_correspondence(
     identity at every order.  `f_exponent_offset` perturbs the exponent on
     V = V_s'^rho in the F-identity, for negative controls.
     """
-    r_one = _rank_one(rho, r)
+    _check_ints(rho=rho, r=r, order=order)
+    r_one, = _rank_one(rho, r)
     v, w, x, (a, _) = _segre_factors(1 + r_one)
     f, g, _ = _verlinde_factors(r_one)
     if order < 1:

@@ -58,10 +58,9 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _check_ints(obj, *names: str) -> None:
-    """Raise unless each named attribute of obj is an int (not a bool)."""
-    for name in names:
-        value = getattr(obj, name)
+def _check_ints(**values) -> None:
+    """Raise unless each named value is an int (not a bool)."""
+    for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"{name} must be an integer, got {value!r}")
 

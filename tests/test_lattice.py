@@ -783,5 +783,4 @@ def test_json_round_trip_generic_space():
 
 def test_fingerprint_matrix_type():
     fp = FingerprintMatrix(((2, 0), (0, 0)))
-    assert fp.size == 2
     assert fp.matrix[0][0] == 2

@@ -17,9 +17,7 @@ from k3mukai.reduction import (
     dim2_evaluate,
     hilbert_pairings,
     moduli_data_from_json,
-    moduli_data_to_json,
     reduce_to_hilbert,
-    reduction_target_from_json,
     reduction_target_to_json,
     segre_cross_check,
 )
@@ -236,6 +234,11 @@ def test_segre_number_n1_agrees_with_closed_form_value():
         ModuliData(rho=2, n=1, alpha=alpha_of(2, 0, 0, 2), Lsq=0, u=0)
     ) == -3
     assert segre_number(SegreParams(2, 2, 0, 0, 1)) == -3
+    # c1sq = 2: v2 = 2 + 1 - 0 = 3, so rank 1, v2' = 6 and c2' = 1 + 1 - 6 = -4
+    assert dim2_evaluate(
+        ModuliData(rho=2, n=1, alpha=alpha_of(2, 2, 0, 3), Lsq=0, u=0)
+    ) == -4
+    assert segre_number(SegreParams(2, 2, 0, 2, 1)) == -4
 
 
 def test_segre_number_n1_equals_c2_at_rho_one():
@@ -261,7 +264,8 @@ def test_reduction_preserves_the_segre_integrand_at_every_n():
     # the rank-rho table of the paper's form (tests/helpers.py), merged,
     # equals production's rank-one integrand at reduce_to_hilbert's point, so
     # the two give the same number at every n; segre_number, which finds
-    # that point by its own inline formula, must give that number too
+    # that point through the same _rank_one and c2_from_v2, must give that
+    # number too
     thirds = [F(k, 3) for k in range(-9, 10)]
     for point in itertools.product(range(1, 6), thirds, range(-2, 3), range(-4, 5, 2)):
         rho, s, c2, c1sq = point
@@ -290,10 +294,10 @@ def test_reduction_preserves_segre_numbers_spot_check(point):
 
 
 def test_moduli_data_json_round_trip():
+    # a document as `reduce --input` and `dim2 --input` read it
+    obj = {"rho": 2, "n": 3, "alpha": {"rank": "2", "c1sq": 4, "c1L": "5", "v2": "1/3"},
+           "Lsq": "6", "u": "-2/7"}
     m = ModuliData(rho=2, n=3, alpha=alpha_of(2, 4, 5, F(1, 3)), Lsq=6, u=F(-2, 7))
-    obj = moduli_data_to_json(m)
-    assert obj["alpha"]["v2"] == "1/3"
-    assert obj["u"] == "-2/7"
     assert moduli_data_from_json(obj) == m
 
 
@@ -303,4 +307,3 @@ def test_reduction_target_json_round_trip():
     obj = reduction_target_to_json(t)
     assert obj["u_prime"] == "3"
     assert obj["warnings"]
-    assert reduction_target_from_json(obj) == t

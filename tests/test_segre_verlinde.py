@@ -351,7 +351,15 @@ def test_lagrange_buermann_refuses_a_third_base():
     lambda: verlinde_number(VerlindeParams(rho=2, r=1, chiL=0.5, n=2)),
     lambda: segre_number(SegreParams(rho=True, s=1, c2=1, c1sq=0, n=2)),
     lambda: segre_number(SegreParams(rho=2, s="1e999999999", c2=1, c1sq=0, n=2)),
-], ids=["float-rho", "float-c2", "float-chiL", "bool-rho", "str-s"])
+    lambda: check_correspondence(True, 1, 8),
+    lambda: check_correspondence(2, 1, 8.0),
+    lambda: check_correspondence(2, 1, True),
+    lambda: check_correspondence(2, True, 8),
+    lambda: check_correspondence(2.0, 1, 8),
+    lambda: check_correspondence(2, 1.5, 8),
+], ids=["float-rho", "float-c2", "float-chiL", "bool-rho", "str-s", "check-sv-bool-rho",
+        "check-sv-float-order", "check-sv-bool-order", "check-sv-bool-r", "check-sv-float-rho",
+        "check-sv-float-r"])
 def test_numbers_refuse_inexact_input(call):
     with pytest.raises(TypeError, match="must be an integer|expected an int") as info:
         call()
