@@ -157,19 +157,19 @@ def _cross_check(rho: int, s: int, c2: int, c1sq: int) -> tuple[dict, bool]:
     return {"rho": rho, "s": s, "c2": c2, "c1sq": c1sq}, segre_cross_check(rho, s, c2, c1sq)
 
 
-def _moduli_from_args(args, n: int | None = None) -> ModuliData:
+def _moduli_from_args(args) -> ModuliData:
+    # the value flags default to None, so a flag is given exactly when it is set
+    given = {name: value for name, value in vars(args).items()
+             if name in ("rho", "n", "alpha", "Lsq", "u") and value is not None}
     if args.input:
+        if given:
+            flags = ", ".join("--" + name for name in given)
+            raise ValueError(f"--input takes no other flags, got {flags}")
         return moduli_data_from_json(_load_input(args.input))
-    missing = [name for name in ("rho", "alpha") if getattr(args, name) is None]
+    missing = [name for name in ("rho", "alpha") if name not in given]
     if missing:
         raise ValueError(f"missing required flags: {', '.join('--' + m for m in missing)}")
-    return ModuliData(
-        rho=args.rho,
-        n=n if n is not None else args.n,
-        alpha=args.alpha,
-        Lsq=args.Lsq,
-        u=args.u,
-    )
+    return ModuliData(**{"n": 1, "Lsq": Fraction(0), "u": Fraction(0), **given})
 
 
 def _vectors_from_input(path: str):
@@ -199,18 +199,14 @@ def _cmd_span_reduce(args) -> tuple[dict, bool]:
     return doc, True
 
 
-def _cmd_sweep(args) -> tuple[dict, bool]:
-    if args.target == "check-sv":
-        evaluate, grids = _check_sv, (args.rho, args.r, [args.order])
-    else:
-        evaluate, grids = _cross_check, (args.rho, args.s, args.c2, args.c1sq)
+def _sweep(target: str, evaluate, *grids) -> tuple[dict, bool]:
     if math.prod(map(len, grids)) > MAX_GRID_POINTS:
         raise ValueError(f"a sweep may have at most {MAX_GRID_POINTS} points")
     points = itertools.starmap(evaluate, itertools.product(*grids))
     results = [{**doc, "ok": ok} for doc, ok in points]
     failures = [r for r in results if not r["ok"]]
     doc = {
-        "command": args.target,
+        "command": target,
         "total": len(results),
         "failures": failures,
         "all_ok": not failures,
@@ -260,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="reduce moduli data to Hilbert-scheme data")
     p.add_argument("--rho", type=int)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=int)
     p.add_argument("--alpha", type=_parse_alpha, help="rank,c1sq,c1L,v2")
-    p.add_argument("--Lsq", type=_parse_fraction, default=Fraction(0))
-    p.add_argument("--u", type=_parse_fraction, default=Fraction(0))
+    p.add_argument("--Lsq", type=_parse_fraction)
+    p.add_argument("--u", type=_parse_fraction)
     p.add_argument("--input", help="JSON file with the moduli data")
     p.set_defaults(func=lambda a: (
         reduction_target_to_json(reduce_to_hilbert(_moduli_from_args(a))), True))
@@ -271,10 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dim2", help="closed-form evaluation at n = 1")
     p.add_argument("--rho", type=int)
     p.add_argument("--alpha", type=_parse_alpha, help="rank,c1sq,c1L,v2")
-    p.add_argument("--Lsq", type=_parse_fraction, default=Fraction(0))
-    p.add_argument("--u", type=_parse_fraction, default=Fraction(0))
+    p.add_argument("--Lsq", type=_parse_fraction)
+    p.add_argument("--u", type=_parse_fraction)
     p.add_argument("--input", help="JSON file with the moduli data")
-    p.set_defaults(func=lambda a: _value(dim2_evaluate(_moduli_from_args(a, n=1))))
+    p.set_defaults(func=lambda a: _value(dim2_evaluate(_moduli_from_args(a))))
 
     p = sub.add_parser("fingerprint", help="pairing matrix of v and classes x_i")
     p.add_argument("--input", required=True, help='JSON file {"v": ..., "xs": [...]}')
@@ -288,14 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_span_reduce)
 
     p = sub.add_parser("sweep", help="evaluate a command over a parameter grid")
-    p.add_argument("target", choices=("check-sv", "cross-check"))
-    p.add_argument("--rho", type=_parse_grid, default=())
-    p.add_argument("--r", type=_parse_grid, default=())
-    p.add_argument("--s", type=_parse_grid, default=())
-    p.add_argument("--c2", type=_parse_grid, default=())
-    p.add_argument("--c1sq", type=_parse_grid, default=())
+    targets = p.add_subparsers(dest="target", required=True, parser_class=_Parser)
+    # each target takes exactly the grids it reads, every one required
+    p = targets.add_parser("check-sv")
+    for name in ("--rho", "--r"):
+        p.add_argument(name, type=_parse_grid, required=True)
     p.add_argument("--order", type=int, default=12)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=lambda a: _sweep(a.target, _check_sv, a.rho, a.r, [a.order]))
+    p = targets.add_parser("cross-check")
+    for name in ("--rho", "--s", "--c2", "--c1sq"):
+        p.add_argument(name, type=_parse_grid, required=True)
+    p.set_defaults(func=lambda a: _sweep(a.target, _cross_check, a.rho, a.s, a.c2, a.c1sq))
 
     return parser
 

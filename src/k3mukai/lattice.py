@@ -20,8 +20,8 @@ distinction that floating point would corrupt.  Inside the module a Gram
 matrix stays as integer numerators N, with <x_i, x_j> = N_ij / (den d_i d_j)
 for den the space's Gram denominator and d_i the forms' denominators;
 Fractions are built only at the public boundary: the value of
-`gram_matrix`, a span isometry's `gram_inverse` and `coordinates`, and the
-coordinates of each vector returned; the radical basis vectors of a
+`MukaiVector.pair` and `gram_matrix`, a span isometry's `gram_inverse`, and
+the coordinates of each vector returned; the radical basis vectors of a
 reduction stay integer forms.  Each is built for a nonzero entry only; every
 zero entry is one shared `Fraction(0)`.
 """
@@ -98,17 +98,13 @@ class QuadraticSpace:
     def dim(self) -> int:
         return len(self.gram)
 
-    def dot(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        """The inner product a.G.b."""
-        return _pairings(self, _forms([(0, *a, 0)]), _forms([(0, *b, 0)]))[0][0]
-
 
 def hyperbolic_plane() -> QuadraticSpace:
     return QuadraticSpace(((0, 1), (1, 0)))
 
 
-def e8_gram(sign: int = -1) -> Matrix:
-    """The E8 Gram matrix (Cartan matrix of the E8 root system), scaled by sign."""
+def e8_gram() -> Matrix:
+    """The Gram matrix of E8(-1): the Cartan matrix of the E8 root system, negated."""
     edges = {(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)}
     rows = []
     for i in range(1, 9):
@@ -120,7 +116,7 @@ def e8_gram(sign: int = -1) -> Matrix:
                 entry = -1
             else:
                 entry = 0
-            row.append(sign * entry)
+            row.append(-entry)
         rows.append(row)
     return _matrix(rows)
 
@@ -128,7 +124,7 @@ def e8_gram(sign: int = -1) -> Matrix:
 @lru_cache(maxsize=1)
 def k3_lattice() -> QuadraticSpace:
     """H^2 of a K3 surface: U + U + U + E8(-1) + E8(-1), dimension 22."""
-    blocks = [_matrix(((0, 1), (1, 0)))] * 3 + [e8_gram(-1)] * 2
+    blocks = [hyperbolic_plane().gram] * 3 + [e8_gram()] * 2
     dim = sum(len(b) for b in blocks)
     rows = [[Fraction(0)] * dim for _ in range(dim)]
     offset = 0
@@ -162,7 +158,8 @@ class MukaiVector:
     def pair(self, other: "MukaiVector") -> Fraction:
         if self.space != other.space:
             raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
-        return _pairings(self.space, [self._form], [other._form])[0][0]
+        p = _pair_nums(self.space, [self._form], _duals(self.space, [other._form]))[0][0]
+        return Fraction(p, self.space._sparse[1] * self._form[1] * other._form[1]) if p else _ZERO
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
@@ -231,23 +228,24 @@ def mukai_pairing(x: MukaiVector, y: MukaiVector) -> Fraction:
     return x.pair(y)
 
 
+def c2_from_v2(rank: Fraction, c1sq: Fraction, v2: Fraction) -> Fraction:
+    """Invert v2 = rank + c1^2/2 - c2; the relation is symmetric, so the
+    same call also gives v2 from c2."""
+    return rank + c1sq / 2 - v2
+
+
 def mukai_vector_from_chern(
     space: QuadraticSpace, rank, c1: Sequence, c2
 ) -> MukaiVector:
     """The vector of a sheaf with Chern data (rank, c1, c2).
 
     On a K3 surface the square root of the Todd class is 1 + p, so the
-    degree-four component is rank + c1^2/2 - c2.
+    degree-four component is rank + c1^2/2 - c2, with c1^2 the pairing of
+    (0, c1, 0) with itself.
     """
-    c1 = tuple(_frac(x) for x in c1)
+    d = MukaiVector(space, 0, c1, 0)
     rank = _frac(rank)
-    v2 = rank + space.dot(c1, c1) / 2 - _frac(c2)
-    return MukaiVector(space, rank, c1, v2)
-
-
-def _forms(rows) -> list[tuple[list[int], int]]:
-    """Each coordinate row as integer numerators over its least denominator."""
-    return [_integer_coeffs(row) for row in rows]
+    return MukaiVector(space, rank, d.c1, c2_from_v2(rank, d.pair(d), _frac(c2)))
 
 
 def _duals(space: QuadraticSpace, forms) -> list[tuple]:
@@ -288,16 +286,6 @@ def _gram_nums(space: QuadraticSpace, forms) -> list[list[int]]:
     return table
 
 
-def _pairings(space: QuadraticSpace, x_forms, y_forms, nums=None) -> list[list[Fraction]]:
-    """The pairings <x, y> of integer forms, one Fraction each (zeros share
-    one); `nums` are their numerators, if already known."""
-    _, den = space._sparse
-    if nums is None:
-        nums = _pair_nums(space, x_forms, _duals(space, y_forms))
-    return [[Fraction(p, den * d * e) if p else _ZERO for p, (_, e) in zip(row, y_forms)]
-            for row, (_, d) in zip(nums, x_forms)]
-
-
 def gram_matrix(xs: Sequence[MukaiVector]) -> Matrix:
     """The symmetric matrix of pairwise pairings; () for an empty list."""
     if not xs:
@@ -305,7 +293,9 @@ def gram_matrix(xs: Sequence[MukaiVector]) -> Matrix:
     if any(x.space != xs[0].space for x in xs):
         raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
     space, forms = xs[0].space, [x._form for x in xs]
-    return tuple(map(tuple, _pairings(space, forms, forms, _gram_nums(space, forms))))
+    den = space._sparse[1]
+    return tuple(tuple(Fraction(p, den * d * e) if p else _ZERO for p, (_, e) in zip(row, forms))
+                 for row, (_, d) in zip(_gram_nums(space, forms), forms))
 
 
 def gram_rank(matrix) -> int:
@@ -523,24 +513,15 @@ class SpanIsometry:
         return tuple(tuple(Fraction(den * a * d, q) if a else _ZERO for a, d in zip(row, ds))
                      for row in rows)
 
-    def _coefficients(self, x: MukaiVector) -> tuple[list[int], int]:
-        """Coordinates of x in the source basis, as integers over one denominator."""
+    def apply(self, x: MukaiVector) -> MukaiVector:
         if any(b.space != x.space for b in self.basis):
             raise SpaceMismatch("cannot pair vectors from different quadratic spaces")
+        # the coordinates nums / den of x in the source basis: in a
+        # non-degenerate span, x = sum_ab <x, v_a> (G^-1)_ab v_b
         pairings = _pair_nums(x.space, [x._form], self._dual_forms)[0]
         rows, q = self._solve
-        return [sum(a * p for a, p in zip(row, pairings)) for row in rows], q * x._form[1]
-
-    def coordinates(self, x: MukaiVector) -> list[Fraction]:
-        """Coordinates of x in the source basis, via pairings.
-
-        In a non-degenerate span, x = sum_ab <x, v_a> (G^-1)_ab v_b.
-        """
-        nums, den = self._coefficients(x)
-        return [Fraction(c, den) if c else _ZERO for c in nums]
-
-    def apply(self, x: MukaiVector) -> MukaiVector:
-        nums, den = self._coefficients(x)
+        nums = [sum(a * p for a, p in zip(row, pairings)) for row in rows]
+        den = q * x._form[1]
         length = x.space.dim + 2
         if _combine_nums(nums, den, [b._form for b in self.basis], length) != x._form:
             raise NotInSpan("vector is not in the source span")

@@ -15,11 +15,12 @@ The pairings are those of four Mukai vectors in the plane spanned by c1(alpha)
 and L (see PairingList), read off lattice.gram_matrix; the reduction is the
 statement that both sides have one Gram matrix, and universality guarantees
 the integrals see nothing else.  The map itself is segre_verlinde._rank_one,
-and the relation v2 = rank + c1^2/2 - c2 is segre_verlinde.c2_from_v2, so
-reduce_to_hilbert and every Segre and Verlinde number, evaluated at rank one,
-share one copy of each.  The two-dimensional case has a closed-form
-evaluation, which doubles as an independent consistency check against the
-coefficient-extraction route at n = 1.
+and the relation v2 = rank + c1^2/2 - c2 is lattice.c2_from_v2, which
+mukai_vector_from_chern also reads, so reduce_to_hilbert and every Segre and
+Verlinde number, evaluated at rank one, share one copy of each.  The
+two-dimensional case has a closed-form evaluation, which doubles as an
+independent consistency check against the coefficient-extraction route at
+n = 1.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import MukaiVector, QuadraticSpace, gram_matrix
-from .segre_verlinde import SegreParams, _rank_one, c2_from_v2, segre_number
+from .lattice import MukaiVector, QuadraticSpace, c2_from_v2, gram_matrix
+from .segre_verlinde import SegreParams, _rank_one, segre_number
 from .series import _check_ints, _frac, _json_number
 
 

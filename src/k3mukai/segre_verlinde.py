@@ -32,8 +32,9 @@ c2 = chi + (r-1)(1-n) and c1^2 = 2 chi - 4 - 2r, and so at r' for every rho.
 Every factor is a binomial power (1 + ct)^e, so each series is an exponent
 map, a list of pairs (c, e).  _segre_factors and _verlinde_factors are the
 one rank-one table of these maps.  _rank_one is the one reduction map, which
-every number, check and builder here and reduce_to_hilbert go through, and
-c2_from_v2 the one relation between c2 and v2.
+every number, check and builder here and reduce_to_hilbert go through; the
+one relation between c2 and v2 is lattice.c2_from_v2, next to the Mukai
+vectors it describes.
 No number needs series reversion: by Lagrange-Buermann, [z^n] H(t(z)) =
 [t^n] H (t/z)^(n+1) z', and for z = t (1+ct)^e that factor is one more map.
 Merged (_merged), each integrand has at most two bases, so each number is a
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm, prod
 
+from .lattice import c2_from_v2
 from .series import TruncatedSeries, _check_ints, _frac, constant
 
 
@@ -101,12 +103,6 @@ def _rank_one(rho: int, rank, *scaled) -> tuple:
     if rho < 1:
         raise ValueError("rho must be a positive integer")
     return (Fraction(rank, rho), *[rho * x for x in scaled])
-
-
-def c2_from_v2(rank: Fraction, c1sq: Fraction, v2: Fraction) -> Fraction:
-    """Invert v2 = rank + c1^2/2 - c2; the relation is symmetric, so the
-    same call also gives v2 from c2."""
-    return rank + c1sq / 2 - v2
 
 
 def _segre_factors(s):

@@ -69,12 +69,13 @@ def fg_by_powers(rho: int, r: int, order: int):
     return f, one_plus_nu, w_of_nu
 
 
-def correspondence_by_composition(rho: int, r: int, order: int, f_exponent_offset=0):
-    """First orders where the G- and the F-identity fail, None where one holds.
+def correspondence_sides(rho: int, r: int, order: int, f_exponent_offset=0):
+    """The (LHS, RHS) series in t of the G- and of the F-identity.
 
     F and G in nu are composed with nu(t) = t / (1 - (r/rho) t); the right-hand
-    sides raise V, W and X to their exponents by rational powers.  This is the
-    series engine's route, independent of the library's exponent table.
+    sides raise V, W and X to their exponents by rational powers, the offset
+    added to V's.  This is the series engine's route, independent of the
+    library's exponent table.
     """
     s = rho + r
     f, g, _ = fg_by_powers(rho, r, order)
@@ -82,10 +83,15 @@ def correspondence_by_composition(rho: int, r: int, order: int, f_exponent_offse
     v, w, x = vwx_by_powers(rho, s, order)
     exponent = Fraction(s, rho) * (rho - 2 + Fraction(1, rho)) + Fraction(f_exponent_offset)
     rhs_f = v.pow_rational(exponent) * w.pow_rational(Fraction(-4 * s, rho)) * x.pow_rational(2)
-    sides = ((g.compose(nu), v * w.pow_rational(2)), (f.compose(nu), rhs_f))
+    return (g.compose(nu), v * w.pow_rational(2)), (f.compose(nu), rhs_f)
+
+
+def correspondence_by_composition(rho: int, r: int, order: int, f_exponent_offset=0):
+    """First orders where the G- and the F-identity fail, None where one holds,
+    read off correspondence_sides."""
     return tuple(
         next((k for k in range(order + 1) if lhs.coeff(k) != rhs.coeff(k)), None)
-        for lhs, rhs in sides
+        for lhs, rhs in correspondence_sides(rho, r, order, f_exponent_offset)
     )
 
 

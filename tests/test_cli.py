@@ -447,6 +447,31 @@ def test_lone_double_dash_value_is_input_error(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    # a typo for --s, a grid the target never reads, a missing grid, a
+    # flag only check-sv reads, and value flags next to --input
+    ["sweep", "cross-check", "--rho", "1:4", "--r", "0:3", "--c2", "0", "--c1sq", "0"],
+    ["sweep", "check-sv", "--rho", "1:2", "--s", "0:3"],
+    ["sweep", "cross-check", "--rho", "1:4", "--c2", "0", "--c1sq", "0"],
+    ["sweep", "cross-check", "--rho", "1:2", "--s", "1", "--c2", "0", "--c1sq", "0",
+     "--order", "5"],
+    ["reduce", "--input", "MODULI", "--u", "7", "--rho", "5"],
+    ["dim2", "--input", "MODULI", "--Lsq", "0"],
+], ids=["typo-r-for-s", "check-sv-with-s", "missing-s", "cross-check-order",
+        "reduce-input-and-flags", "dim2-input-and-flag"])
+def test_no_flag_is_silently_ignored(capsys, tmp_path, argv):
+    # each exited 0 once: a sweep over an empty product or a reduction that
+    # dropped the flags; the file alone is accepted
+    moduli = tmp_path / "moduli.json"
+    moduli.write_text(json.dumps(_moduli_payload(n=1)))
+    argv = [str(moduli) if a == "MODULI" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    if "--input" in argv:
+        assert run_cli(capsys, *argv[:3])[0] == 0
+
+
 def test_numbers_have_no_order_flag(capsys):
     # removed flags are usage errors; sweeps have no --jobs either
     for argv in (

@@ -32,7 +32,6 @@ from k3mukai.lattice import (
     SpaceMismatch,
     _combine_nums,
     _eliminate,
-    _forms,
     _greedy_basis_indices,
     _inverse_nums,
     _kernel_nums,
@@ -89,7 +88,7 @@ def test_k3_lattice_unimodular():
 
 
 def test_e8_block_negative_definite():
-    g = e8_gram(-1)
+    g = e8_gram()
     for k in range(1, 9):
         minor = [row[:k] for row in g[:k]]
         assert gauss_det(minor) * (-1) ** k > 0
@@ -267,7 +266,7 @@ def rational_matrices(draw, square=False):
 def integer_rows(rows):
     """Each row times the lcm of its denominators, which keeps the row space
     (so the reduced row echelon form and the kernel)."""
-    return [nums for nums, _ in _forms(rows)]
+    return [_integer_coeffs(r)[0] for r in rows]
 
 
 @given(rational_matrices())
@@ -286,7 +285,7 @@ def test_integer_kernel_matches_fraction_oracle(rows):
 @given(rational_matrices(square=True))
 def test_integer_inverse_matches_fraction_oracle(rows):
     # row i of the integer matrix is s_i times row i of R, so R^-1 = (S R)^-1 S
-    scales = [s for _, s in _forms(rows)]
+    scales = [_integer_coeffs(r)[1] for r in rows]
     inverse = _inverse_nums(integer_rows(rows))
     if inverse is None:
         assert fraction_inverse(rows) is None
@@ -298,7 +297,7 @@ def test_integer_inverse_matches_fraction_oracle(rows):
 
 @given(rational_matrices())
 def test_greedy_basis_matches_left_to_right_oracle_scan(rows):
-    assert _greedy_basis_indices(_forms(rows)) == greedy_by_rank(rows)
+    assert _greedy_basis_indices([_integer_coeffs(r) for r in rows]) == greedy_by_rank(rows)
 
 
 def test_lattice_checks_survive_python_optimize():
@@ -691,7 +690,8 @@ def rational_spans(draw):
     space = QuadraticSpace(gram)
     d = draw(st.lists(fraction_entries_5, min_size=dim, max_size=dim))
     c = draw(st.fractions(min_value=2, max_value=8, max_denominator=5))
-    v = mv(space, 1, d, (space.dot(d, d) - c) / 2)  # v.v = c
+    dd = mv(space, 0, d, 0).pair(mv(space, 0, d, 0))
+    v = mv(space, 1, d, (dd - c) / 2)  # v.v = c
     coords = st.lists(fraction_entries_5, min_size=dim + 2, max_size=dim + 2)
     xs = [MukaiVector.from_coords(space, x) for x in draw(st.lists(coords, max_size=4))]
     if null is not None:
@@ -759,7 +759,8 @@ def test_cached_form_stays_out_of_eq_hash_and_repr():
 def test_combine_form_gives_the_fraction_combination(data):
     coeffs, rows = data
     expected = [sum((c * row[i] for c, row in zip(coeffs, rows)), F(0)) for i in range(5)]
-    assert _combine_nums(*_integer_coeffs(coeffs), _forms(rows), 5) == _integer_coeffs(expected)
+    forms = [_integer_coeffs(r) for r in rows]
+    assert _combine_nums(*_integer_coeffs(coeffs), forms, 5) == _integer_coeffs(expected)
 
 
 # -- JSON ------------------------------------------------------------------------

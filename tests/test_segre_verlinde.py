@@ -13,6 +13,7 @@ import test_golden
 from helpers import (
     binomial_convolution,
     correspondence_by_composition,
+    correspondence_sides,
     fg_by_powers,
     lagrange_coefficient,
     segre_by_reversion,
@@ -20,6 +21,7 @@ from helpers import (
     verlinde_by_reversion,
     vwx_by_powers,
 )
+from k3mukai import segre_verlinde
 from k3mukai.lattice import MukaiVector, k3_lattice, mukai_pairing
 from k3mukai.series import OrderExceeded, TruncatedSeries, constant, identity
 from k3mukai.segre_verlinde import (
@@ -508,6 +510,28 @@ def test_correspondence_matches_composition_oracle(rho):
                 first = min((m for m in (g, f) if m is not None), default=None)
                 expected = CorrespondenceReport(rho, r, order, g is None, f is None, first)
                 assert check_correspondence(rho, r, order, f_exponent_offset=offset) == expected
+
+
+def test_f_exponent_offset_enters_with_its_weight_rho(monkeypatch):
+    # every nonzero offset fails first at order 1, so the report cannot tell
+    # one weight of the offset from another; the first power sum
+    # p_1 = sum e c of each merged quotient is [t^1] of LHS - RHS (as
+    # RHS(0) = 1), which the composition route computes on its own
+    p_1 = []
+    real = segre_verlinde._first_mismatch
+
+    def recording(quotient, order):
+        p_1.append(sum(e * c for c, e in segre_verlinde._merged(quotient).items()))
+        return real(quotient, order)
+
+    monkeypatch.setattr(segre_verlinde, "_first_mismatch", recording)
+    for rho in range(1, 5):
+        for r in (-2, -1, 1, 2):
+            for offset in (F(1, 7), F(-2, 3)):
+                p_1.clear()
+                check_correspondence(rho, r, 3, f_exponent_offset=offset)
+                sides = correspondence_sides(rho, r, 1, offset)
+                assert p_1 == [lhs.coeff(1) - rhs.coeff(1) for lhs, rhs in sides], (rho, r)
 
 
 def test_correspondence_rejects_bad_rho():
