@@ -42,13 +42,20 @@ from .segre_verlinde import (
     segre_number,
     verlinde_number,
 )
-from .series import _parse_rational
+from .series import _exact_text, _parse_rational
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_INPUT_ERROR = 2
 # per grid and per sweep; sizes come from the range endpoints, before any expansion
 MAX_GRID_POINTS = 100_000
+
+
+class _AfterTarget(argparse.Action):
+    # a grid flag given to `sweep` itself, before the target that reads it
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"argument {option_string}: it goes after the sweep target"
+                     " (check-sv or cross-check)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,7 +144,7 @@ def _load_input(path: str) -> dict:
 
 
 def _value(x) -> tuple[dict, bool]:
-    return {"value": str(x)}, True
+    return {"value": _exact_text(x)}, True
 
 
 def _check_sv(rho: int, r: int, order: int) -> tuple[dict, bool]:
@@ -183,7 +190,7 @@ def _vectors_from_input(path: str):
 
 
 def _matrix_text(matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in matrix]
+    return [[_exact_text(x) for x in row] for row in matrix]
 
 
 def _cmd_span_reduce(args) -> tuple[dict, bool]:
@@ -284,6 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_span_reduce)
 
     p = sub.add_parser("sweep", help="evaluate a command over a parameter grid")
+    for name in ("--rho", "--r", "--s", "--c2", "--c1sq", "--order"):
+        p.add_argument(name, action=_AfterTarget, default=argparse.SUPPRESS,
+                       help=argparse.SUPPRESS)
     targets = p.add_subparsers(dest="target", required=True, parser_class=_Parser)
     # each target takes exactly the grids it reads, every one required
     p = targets.add_parser("check-sv")

@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .series import _frac, _integer_coeffs, _json_number
+from .series import _exact_text, _frac, _integer_coeffs, _json_number
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -580,12 +580,12 @@ def span_isometry(
 
 def mukai_vector_to_json(v: MukaiVector) -> dict:
     space = "k3" if v.space == k3_lattice() else {
-        "gram": [[str(x) for x in row] for row in v.space.gram]
+        "gram": [[_exact_text(x) for x in row] for row in v.space.gram]
     }
     return {
-        "rank": str(v.rank),
-        "c1": [str(x) for x in v.c1],
-        "v2": str(v.v2),
+        "rank": _exact_text(v.rank),
+        "c1": [_exact_text(x) for x in v.c1],
+        "v2": _exact_text(v.v2),
         "space": space,
     }
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .lattice import MukaiVector, QuadraticSpace, c2_from_v2, gram_matrix
 from .segre_verlinde import SegreParams, _rank_one, segre_number
-from .series import _check_ints, _frac, _json_number
+from .series import _check_ints, _exact_text, _frac, _json_number
 
 
 class DimensionMismatch(ValueError):
@@ -210,10 +210,10 @@ def segre_cross_check(rho: int, s: int, c2: int, c1sq: int) -> bool:
 
 def k_class_to_json(k: KClassInvariants) -> dict:
     return {
-        "rank": str(k.rank),
-        "c1sq": str(k.c1sq),
-        "c1L": str(k.c1L),
-        "v2": str(k.v2),
+        "rank": _exact_text(k.rank),
+        "c1sq": _exact_text(k.c1sq),
+        "c1L": _exact_text(k.c1L),
+        "v2": _exact_text(k.v2),
     }
 
 
@@ -247,7 +247,7 @@ def reduction_target_to_json(t: ReductionTarget) -> dict:
     return {
         "n": t.n,
         "beta": k_class_to_json(t.beta),
-        "Lsq": str(t.Lsq),
-        "u_prime": str(t.u_prime),
+        "Lsq": _exact_text(t.Lsq),
+        "u_prime": _exact_text(t.u_prime),
         "warnings": list(t.warnings),
     }

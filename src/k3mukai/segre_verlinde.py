@@ -31,25 +31,26 @@ c2 = chi + (r-1)(1-n) and c1^2 = 2 chi - 4 - 2r, and so at r' for every rho.
 
 Every factor is a binomial power (1 + ct)^e, so each series is an exponent
 map, a list of pairs (c, e).  _segre_factors and _verlinde_factors are the
-one rank-one table of these maps.  _rank_one is the one reduction map, which
-every number, check and builder here and reduce_to_hilbert go through; the
-one relation between c2 and v2 is lattice.c2_from_v2, next to the Mukai
-vectors it describes.
+one rank-one table of these maps, on integers: at s' or r' = p/q in lowest
+terms each base is an integer over q^2 and each exponent one over 2 q^2.
+_rank_one is the one reduction map, which every number, check and builder
+here and reduce_to_hilbert go through (c2 and v2 by lattice.c2_from_v2).
 No number needs series reversion: by Lagrange-Buermann, [z^n] H(t(z)) =
 [t^n] H (t/z)^(n+1) z', and for z = t (1+ct)^e that factor is one more map.
 Merged (_merged), each integrand has at most two bases, so each number is a
 binomial sum (Marian-Oprea-Pandharipande, "Segre classes and Hilbert schemes
-of points"), which _lagrange_buermann evaluates by an integer recurrence.
-check_correspondence reads each identity from the power sums of one merged
-map.  build_vwx, build_fg and segre_variable_change expand the table at rank
-rho for the tests (_binomials).
+of points"), which _lagrange_buermann evaluates by an integer recurrence on
+those numerators, with one Fraction at the end.  check_correspondence reads
+each identity from the power sums of one merged map, on the same integers.
+build_vwx, build_fg and segre_variable_change expand the table for the
+tests, divided out by _rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .lattice import c2_from_v2
 from .series import TruncatedSeries, _check_ints, _frac, constant
@@ -57,12 +58,9 @@ from .series import TruncatedSeries, _check_ints, _frac, constant
 
 @dataclass(frozen=True)
 class SegreParams:
-    """Input data for one Segre number.
-
-    rho is the rank of the moduli vector, s the rank of the tautological
-    class (rational values are allowed for formal checks), c2 and c1sq its
-    exponents, and n half the dimension of the moduli space.
-    """
+    """Input data for one Segre number: rho is the rank of the moduli vector,
+    s the rank of the tautological class (rational values are allowed for
+    formal checks), c2 and c1sq its exponents, n half the moduli dimension."""
 
     rho: int
     s: Fraction
@@ -97,31 +95,35 @@ class VerlindeParams:
 
 
 def _rank_one(rho: int, rank, *scaled) -> tuple:
-    """The reduction map from rank rho to rank one: (rank/rho, rho*x, ...)
-    for x in `scaled`, which are v2 and the point weight u where they enter.
-    A rank alone, s or r, maps to the one-tuple (s',) or (r',)."""
+    """The reduction map from rank rho to rank one: (rank/rho, rho*x, ...) for
+    x in `scaled` (v2, u); a rank alone, s or r, maps to (s',) or (r',)."""
     if rho < 1:
         raise ValueError("rho must be a positive integer")
     return (Fraction(rank, rho), *[rho * x for x in scaled])
 
 
 def _segre_factors(s):
-    """The rank-one maps of V, W and X as in the module docstring, with
-    a = 1 - s and b = 1 + a, and the variable change z = t (1+at)^a as (a, a)."""
-    s = _frac(s)
-    a = 1 - s
-    b = 1 + a
-    half = Fraction(1, 2)
-    v = [(a, 1 - s), (b, s)]
-    w = [(a, half * s - 1), (b, half * (1 - s))]
-    x = [(a, half * s * s - s), (b, half * (1 - s * s)), (a * b, -half)]
-    return v, w, x, (a, a)
+    """The rank-one maps of V, W and X as in the module docstring, with a = 1 - s
+    and b = 1 + a, z = t (1+at)^a as (a, a), and the scale q^2 of s = p/q in
+    lowest terms: bases are integers over q^2, exponents over 2 q^2."""
+    p, q = _frac(s).as_integer_ratio()
+    a, b = (q - p) * q, (2 * q - p) * q
+    v = [(a, 2 * q * (q - p)), (b, 2 * q * p)]
+    w = [(a, q * (p - 2 * q)), (b, q * (q - p))]
+    x = [(a, p * p - 2 * p * q), (b, q * q - p * p), ((q - p) * (2 * q - p), -q * q)]
+    return v, w, x, (a, 2 * q * (q - p)), q * q
 
 
 def _verlinde_factors(r):
-    """The rank-one maps of F and G, and w = nu (1+nu)^(q-1) as (1, q-1), q = r^2."""
-    q = r * r
-    return [(1, q), (q, -1)], [(1, 1)], (1, q - 1)
+    """The rank-one maps of F and G, w = nu (1+nu)^(k-1) as (1, k-1), k = r^2,
+    and the scale q^2, on the integers of _segre_factors at r = p/q."""
+    p2, q2 = r.numerator ** 2, r.denominator ** 2
+    return [(q2, 2 * p2), (p2, -2 * q2)], [(q2, 2 * q2)], (q2, 2 * (p2 - q2)), q2
+
+
+def _rational(factors, scale: int) -> list:
+    """A map of the table as Fractions: bases over `scale`, exponents over 2 `scale`."""
+    return [(Fraction(c, scale), Fraction(e, 2 * scale)) for c, e in factors]
 
 
 def _merged(weighted) -> dict:
@@ -142,12 +144,14 @@ def _binomials(c, e, n: int) -> list[Fraction]:
     return out
 
 
-def _lagrange_buermann(weighted, change, n: int) -> Fraction:
-    """[z^n] H(t(z)) for H the product of the weighted maps, z = t (1+ct)^e.
+def _lagrange_buermann(weighted, change, n: int, scale: int, weight: int) -> Fraction:
+    """[z^n] H(t(z)) for H the product of the weighted maps, z = t (1+ct)^e, on
+    the table's integers at `scale`, with the weights over `weight`.
 
     [z^n] H(t(z)) = [t^n] H (t/z)^(n+1) z' with change = (c, e), and
-    (t/z)^(n+1) z' = (1+ct)^(-en-1) (1+c(1+e)t) is one more map; at most two
-    bases remain, so [t^n] is a sum of products of two binomial coefficients.
+    (t/z)^(n+1) z' = (1+ct)^(-en-1) (1+c(1+e)t) is one more map, whose base
+    c(1+e) is one of the table (X's ab, or F's r^2); at most two bases
+    remain, so [t^n] is a sum of products of two binomial coefficients.
     It is read off a recurrence instead: H = (1+at)^E_a (1+bt)^E_b solves
     (1+at)(1+bt) H' = (E_a a (1+bt) + E_b b (1+at)) H, so with P = E_a a + E_b b
 
@@ -155,18 +159,18 @@ def _lagrange_buermann(weighted, change, n: int) -> Fraction:
 
     and h_m = N_m / (m! L^m), L the least common denominator of the
     multipliers, puts the loop on integers N_m.  A missing base is (0, 0),
-    which makes ab = 0 and the recurrence first order.  The tests check the
-    result against the binomial sum itself.
+    which makes ab = 0 and the recurrence first order.
     """
-    c, e = change
-    merged = _merged([*weighted, (1, [(c, -e * n - 1), (c * (1 + e), 1)])])
+    (c, e), unit = change, 2 * scale
+    merged = _merged([*weighted, (weight, [(c, -e * n - unit), (c * (unit + e) // unit, unit)])])
     if len(merged) > 2:
         raise ValueError(f"the integrand has {len(merged)} bases, the closed form at most two")
     (a, e_a), (b, e_b) = [*merged.items(), (0, 0), (0, 0)][:2]
-    mults = (e_a * a + e_b * b, a + b, a * b, a * b * (e_a + e_b + 1))
-    den = lcm(*(x.denominator for x in mults))
-    p, sum_ab, ab, q = (int(x * den) for x in mults)
-    ab, q = ab * den, q * den
+    unit *= weight
+    mults = (e_a * a + e_b * b, a + b, a * b, a * b * (e_a + e_b + unit))
+    scales = (unit * scale, scale, scale * scale, scale * scale * unit)
+    den = lcm(*(d // gcd(x, d) for x, d in zip(mults, scales)))
+    p, sum_ab, ab, q = (x * den**k // d for x, d, k in zip(mults, scales, (1, 1, 2, 2)))
     prev, cur = 0, 1
     for m in range(n):
         prev, cur = cur, (p - sum_ab * m) * cur + m * (q - ab * m) * prev
@@ -191,7 +195,8 @@ def _change_series(change, order: int) -> TruncatedSeries:
 def build_vwx(rho: int, s, order: int):
     """(V, W, X) in t at rank rho, exact to `order`, lifted from s' = s/rho."""
     s, = _rank_one(rho, s)
-    v, w, x, _ = _segre_factors(s)
+    v, w, x, _, scale = _segre_factors(s)
+    v, w, x = (_rational(m, scale) for m in (v, w, x))
     lifted = ([(rho, v)], [(1, w), (Fraction(1 - rho, 2), v)],
               [(1, x), (-s * (rho * rho - 1) / 2, v)])
     return tuple(_series(m, order) for m in lifted)
@@ -199,7 +204,8 @@ def build_vwx(rho: int, s, order: int):
 
 def segre_variable_change(rho: int, s, order: int) -> TruncatedSeries:
     """t as a series in z, inverting z = t (1 + (1-s/rho) t)^(1-s/rho)."""
-    return _change_series(_segre_factors(*_rank_one(rho, s))[3], order).revert()
+    *_, change, scale = _segre_factors(*_rank_one(rho, s))
+    return _change_series(*_rational([change], scale), order).revert()
 
 
 def segre_number(params: SegreParams) -> Fraction:
@@ -212,19 +218,21 @@ def segre_number(params: SegreParams) -> Fraction:
     sum_k binom(E_a, k) binom(E_b, n-k) a^k b^(n-k) with
     E_a = c2' (1-s') + c1sq (s'-2)/2 + s'^2 - 2s' - an - 1
     and E_b = c2' s' + c1sq (1-s')/2 + 1 - s'^2, evaluated by the integer
-    recurrence of _lagrange_buermann.
+    recurrence of _lagrange_buermann, with the weights over the denominator of c2'.
     """
     s, c1sq = params.s, Fraction(params.c1sq)
     s_one, v2_one = _rank_one(params.rho, s, c2_from_v2(s, c1sq, params.c2))
-    c2_one = c2_from_v2(s_one, c1sq, v2_one)
-    v, w, x, change = _segre_factors(s_one)
-    return _lagrange_buermann([(c2_one, v), (params.c1sq, w), (2, x)], change, params.n)
+    c2, d = c2_from_v2(s_one, c1sq, v2_one).as_integer_ratio()
+    v, w, x, change, scale = _segre_factors(s_one)
+    weighted = [(c2, v), (params.c1sq * d, w), (2 * d, x)]
+    return _lagrange_buermann(weighted, change, params.n, scale, d)
 
 
 def build_fg(rho: int, r: int, order: int):
     """The Verlinde series (F, G) in nu, plus the variable change w(nu)."""
-    f, g, change = _verlinde_factors(*_rank_one(rho, r))
-    return _series([(1, f)], order), _series([(1, g)], order), _change_series(change, order)
+    f, g, change, scale = _verlinde_factors(*_rank_one(rho, r))
+    f, g, change = (_rational(m, scale) for m in (f, g, [change]))
+    return _series([(1, f)], order), _series([(1, g)], order), _change_series(*change, order)
 
 
 def verlinde_number(params: VerlindeParams) -> Fraction:
@@ -235,8 +243,8 @@ def verlinde_number(params: VerlindeParams) -> Fraction:
     so the number is binom(chiL + (1-q)(n-1), n) with q = r'^2 = (r/rho)^2,
     which _lagrange_buermann's recurrence reaches as a first-order one.
     """
-    f, g, change = _verlinde_factors(*_rank_one(params.rho, params.r))
-    return _lagrange_buermann([(1, f), (params.chiL, g)], change, params.n)
+    f, g, change, scale = _verlinde_factors(*_rank_one(params.rho, params.r))
+    return _lagrange_buermann([(1, f), (params.chiL, g)], change, params.n, scale, 1)
 
 
 @dataclass(frozen=True)
@@ -258,19 +266,16 @@ def _first_mismatch(quotient, order: int) -> int | None:
     given as weighted maps: RHS(0) = 1, so LHS - RHS starts where Q - 1 does.
 
     log Q = sum_k (-1)^(k+1) p_k t^k / k with p_k = sum e c^k over the merged
-    map, and by Vandermonde a map with m bases has p_k != 0 for some k <= m.
+    map, and by Vandermonde a map with m bases has p_k != 0 for some k <= m;
+    scaling the bases and the exponents scales p_k, so integers decide alike.
     """
     m = _merged(quotient)
     powers = range(1, min(order, len(m)) + 1)
     return next((k for k in powers if sum(e * c**k for c, e in m.items())), None)
 
 
-def check_correspondence(
-    rho: int,
-    r: int,
-    order: int,
-    f_exponent_offset: Fraction | int = 0,
-) -> CorrespondenceReport:
+def check_correspondence(rho: int, r: int, order: int,
+                         f_exponent_offset: Fraction | int = 0) -> CorrespondenceReport:
     """Compare both Segre-Verlinde identities in t up to `order`, at r' = r/rho.
 
     Under nu = t (1+at)^(-1), a = -r', each (c, e) of F and G becomes
@@ -282,21 +287,16 @@ def check_correspondence(
     """
     _check_ints(rho=rho, r=r, order=order)
     r_one, = _rank_one(rho, r)
-    v, w, x, (a, _) = _segre_factors(1 + r_one)
-    f, g, _ = _verlinde_factors(r_one)
+    v, w, x, (a, _), _ = _segre_factors(1 + r_one)
+    f, g, _, _ = _verlinde_factors(r_one)
     if order < 1:
         raise ValueError("order must be at least 1")
     f_t, g_t = ([p for c, e in m for p in ((a + c, e), (a, -e))] for m in (f, g))
     g_quotient = [(1, g_t), (-1, v), (-2, w)]
-    f_quotient = [(1, f_t), (-rho * _frac(f_exponent_offset), v), (4 * (1 + r_one), w), (-2, x)]
-    g_mismatch = _first_mismatch(g_quotient, order)
-    f_mismatch = _first_mismatch(f_quotient, order)
+    # the weights 1, -rho offset, 4 (1 + r') and -2, times q den(offset)
+    (o, k), (p, q) = _frac(f_exponent_offset).as_integer_ratio(), r_one.as_integer_ratio()
+    f_quotient = [(q * k, f_t), (-rho * o * q, v), (4 * (q + p) * k, w), (-2 * q * k, x)]
+    g_mismatch, f_mismatch = (_first_mismatch(m, order) for m in (g_quotient, f_quotient))
     mismatches = [m for m in (g_mismatch, f_mismatch) if m is not None]
-    return CorrespondenceReport(
-        rho=rho,
-        r=r,
-        order=order,
-        g_identity_holds=g_mismatch is None,
-        f_identity_holds=f_mismatch is None,
-        first_discrepant_order=min(mismatches) if mismatches else None,
-    )
+    return CorrespondenceReport(rho, r, order, g_mismatch is None, f_mismatch is None,
+                                min(mismatches, default=None))

@@ -16,6 +16,7 @@ are their independent oracle.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
@@ -84,6 +85,18 @@ def _json_number(value, name: str, integer: bool = False) -> Fraction:
     if integer and x.denominator != 1:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return x
+
+
+def _exact_text(x) -> str:
+    """str(x) for an exact output value of any size.  Python caps the decimal
+    digits of an int conversion (4300 by default) to guard parsing; the cap
+    stays on every input and is lifted for this one conversion only."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def _integer_coeffs(coeffs) -> tuple[list[int], int]:

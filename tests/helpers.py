@@ -1,7 +1,11 @@
-"""Shared test oracles, independent of the library code paths they check."""
+"""Shared test oracles, independent of the library code paths they check,
+and two adapters, segre_table and lagrange_buermann, that move Fraction data
+to and from the library's integer table."""
 
 from fractions import Fraction
+from math import lcm
 
+from k3mukai.segre_verlinde import _lagrange_buermann, _rational, _segre_factors
 from k3mukai.series import TruncatedSeries, identity
 
 
@@ -52,6 +56,29 @@ def segre_maps_at_rank(rho: int, s):
     x = [(a, half * s * s - s), (b, half * (1 - s * s)), (a * b, -half),
          (a, -((rho - 1) ** 2) * s / (2 * rho))]
     return v, w, x, (a, a)
+
+
+def segre_table(s):
+    """The library's rank-one maps (V, W, X, change) at s, divided out of its
+    integer table by its own _rational; an adapter, not an oracle."""
+    *maps, change, scale = _segre_factors(s)
+    return (*(_rational(m, scale) for m in maps), *_rational([change], scale))
+
+
+def lagrange_buermann(weighted, change, n: int) -> Fraction:
+    """The library's _lagrange_buermann on Fraction weights and maps, brought
+    to its integers: with L the common denominator of every base and exponent,
+    bases over L^2 and exponents over 2 L^2, so that the change's base
+    c (1+e) is an integer over L^2 too, and the weights over their own."""
+    values = [Fraction(x) for _, m in weighted for pair in m for x in pair]
+    scale = lcm(*(x.denominator for x in [*values, *map(Fraction, change)])) ** 2
+    weight = lcm(*(Fraction(k).denominator for k, _ in weighted))
+
+    def integers(pairs):
+        return [(int(c * scale), int(e * 2 * scale)) for c, e in pairs]
+
+    ints = [(int(k * weight), integers(m)) for k, m in weighted]
+    return _lagrange_buermann(ints, *integers([change]), n, scale, weight)
 
 
 def segre_z_of_t(rho: int, s, order: int) -> TruncatedSeries:

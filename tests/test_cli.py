@@ -1,10 +1,13 @@
 import json
 import shlex
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from k3mukai.cli import MAX_GRID_POINTS, main
+from k3mukai.segre_verlinde import SegreParams, VerlindeParams, segre_number, verlinde_number
 from k3mukai.lattice import (
     hilbert_scheme_vector,
     k3_lattice,
@@ -480,6 +483,61 @@ def test_numbers_have_no_order_flag(capsys):
         ["verlinde", "--rho", "1", "--r", "0", "--chiL", "3", "--n", "2", "--order", "6"],
         ["sweep", "check-sv", "--rho", "1:2", "--r", "0", "--jobs", "2"],
     ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--rho", "--r", "--s", "--c2", "--c1sq", "--order"])
+def test_a_grid_flag_before_the_sweep_target_is_named(capsys, flag):
+    # argparse took the flag's value for the target: "invalid choice: '1'"
+    for argv in (["sweep", flag, "1", "check-sv", "--rho", "1", "--r", "0"],
+                 ["sweep", f"{flag}=1", "cross-check", "--rho", "1", "--s", "1"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: argument {flag}: it goes after the sweep target"
+                       " (check-sv or cross-check)\n")
+
+
+def _plain_doc(out):
+    pairs = (line.split("=", 1) for line in out.splitlines())
+    return {key: json.loads(value) for key, value in pairs}
+
+
+def test_exact_output_past_the_int_digit_cap(capsys, tmp_path):
+    # Python caps int-to-decimal conversion at 4300 digits by default; the
+    # output lifts it for its own values only, and input parsing keeps it
+    cap = sys.get_int_max_str_digits()
+    big = "7" * 3000  # accepted input whose pairing with itself has 6001 digits
+    vectors = tmp_path / "vectors.json"
+    vectors.write_text(json.dumps({"v": {**_vector_payload(big), "v2": big}, "xs": []}))
+    cases = [
+        (["segre", "--rho", "2", "--s", "3", "--c2", "2", "--c1sq", "4", "--n", "6000"],
+         lambda doc: doc["value"], lambda: segre_number(SegreParams(2, 3, 2, 4, 6000))),
+        (["verlinde", "--rho", "1", "--r", "30", "--chiL", "5", "--n", "3000"],
+         lambda doc: doc["value"], lambda: verlinde_number(VerlindeParams(1, 30, 5, 3000))),
+        (["fingerprint", "--input", str(vectors)],
+         lambda doc: doc["fingerprint"][0][0], lambda: -2 * int(big) ** 2),
+    ]
+    for argv, read, value in cases:
+        for fmt, parse in (("json", json.loads), ("plain", _plain_doc)):
+            code, out, err = run_cli(capsys, "--format", fmt, *argv)
+            assert (code, err) == (0, ""), argv
+            assert sys.get_int_max_str_digits() == cap
+            text = read(parse(out))
+            assert len(text) > 4300, argv
+            sys.set_int_max_str_digits(0)
+            try:
+                assert Fraction(text) == value(), argv
+            finally:
+                sys.set_int_max_str_digits(cap)
+    digits = "1" * 4301
+    as_number, as_string = tmp_path / "number.json", tmp_path / "string.json"
+    as_number.write_text(json.dumps(_moduli_payload(Lsq="L")).replace('"L"', digits))
+    as_string.write_text(json.dumps(_moduli_payload(Lsq=digits)))
+    for argv in (["segre", "--rho", "1", "--s", "1", "--c2", digits, "--c1sq", "0", "--n", "1"],
+                 ["segre", "--rho", "1", "--s", digits, "--c2", "0", "--c1sq", "0", "--n", "1"],
+                 ["reduce", "--input", str(as_number)], ["reduce", "--input", str(as_string)]):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1

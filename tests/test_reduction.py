@@ -21,14 +21,8 @@ from k3mukai.reduction import (
     reduction_target_to_json,
     segre_cross_check,
 )
-from helpers import segre_maps_at_rank
-from k3mukai.segre_verlinde import (
-    SegreParams,
-    _lagrange_buermann,
-    _merged,
-    _segre_factors,
-    segre_number,
-)
+from helpers import lagrange_buermann, segre_maps_at_rank, segre_table
+from k3mukai.segre_verlinde import SegreParams, _merged, segre_number
 
 F = Fraction
 
@@ -271,9 +265,9 @@ def test_reduction_preserves_the_segre_integrand_at_every_n():
         rho, s, c2, c1sq = point
         _, s_beta, c2_beta, _ = _hilbert_point(*point)
         at_rank, change = _segre_integrand(segre_maps_at_rank(rho, s), c2, c1sq)
-        at_one, change_one = _segre_integrand(_segre_factors(s_beta), c2_beta, c1sq)
+        at_one, change_one = _segre_integrand(segre_table(s_beta), c2_beta, c1sq)
         assert (_merged(at_one), change_one) == (_merged(at_rank), change), point
-        expected = _lagrange_buermann(at_rank, change, 2)
+        expected = lagrange_buermann(at_rank, change, 2)
         assert segre_number(SegreParams(rho, s, c2, c1sq, 2)) == expected, point
 
 

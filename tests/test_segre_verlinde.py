@@ -15,8 +15,10 @@ from helpers import (
     correspondence_by_composition,
     correspondence_sides,
     fg_by_powers,
+    lagrange_buermann,
     lagrange_coefficient,
     segre_by_reversion,
+    segre_table,
     segre_z_of_t,
     verlinde_by_reversion,
     vwx_by_powers,
@@ -30,8 +32,7 @@ from k3mukai.segre_verlinde import (
     VerlindeParams,
     _binomials,
     _first_mismatch,
-    _lagrange_buermann,
-    _segre_factors,
+    _merged,
     _series,
     build_fg,
     build_vwx,
@@ -323,7 +324,7 @@ def test_lagrange_buermann_matches_the_binomial_convolution(n, a, e_a, b, e_b, s
     if same:
         b = a
     cancel = [(c, e * n + 1), (c * (1 + e), -1)]
-    value = _lagrange_buermann([(1, [(a, e_a), (b, e_b)]), (1, cancel)], (c, e), n)
+    value = lagrange_buermann([(1, [(a, e_a), (b, e_b)]), (1, cancel)], (c, e), n)
     assert value == binomial_convolution(a, e_a, b, e_b, n)
 
 
@@ -344,7 +345,7 @@ def test_numbers_at_large_n_keep_their_time_budget():
 def test_lagrange_buermann_refuses_a_third_base():
     # the recurrence would drop the third base and give a wrong number
     with pytest.raises(ValueError, match="3 bases"):
-        _lagrange_buermann([(1, [(2, F(1, 2)), (3, -1)])], (1, 1), 4)
+        lagrange_buermann([(1, [(2, F(1, 2)), (3, -1)])], (1, 1), 4)
 
 
 @pytest.mark.parametrize("call", [
@@ -472,9 +473,9 @@ def test_verlinde_numbers_are_segre_numbers_at_r_over_rho(rho):
     # rational, so the Segre side is the rank-one integrand itself
     for r, chi, n in itertools.product(range(-4, 5), range(-6, 9), range(11)):
         r_one = F(r, rho)
-        v, w, x, change = _segre_factors(1 + r_one)
+        v, w, x, change = segre_table(1 + r_one)
         c2, c1sq = chi + (r_one - 1) * (1 - n), 2 * chi - 4 - 2 * r_one
-        segre = _lagrange_buermann([(c2, v), (c1sq, w), (2, x)], change, n)
+        segre = lagrange_buermann([(c2, v), (c1sq, w), (2, x)], change, n)
         assert verlinde_number(VerlindeParams(rho, r, chi, n)) == segre, (r, chi, n)
 
 
@@ -495,9 +496,9 @@ def test_verlinde_numbers_at_large_n_through_the_mukai_lattice(rho, r, chi, n):
     verlinde = verlinde_number(VerlindeParams(rho, r, chi, n))
     assert verlinde == comb_any(mukai_pairing(w, w) / 2 + n + 1, n)
     r_one = F(r, rho)
-    sv, sw, sx, change = _segre_factors(1 + r_one)
+    sv, sw, sx, change = segre_table(1 + r_one)
     c2, c1sq = chi + (r_one - 1) * (1 - n), 2 * chi - 4 - 2 * r_one
-    assert verlinde == _lagrange_buermann([(c2, sv), (c1sq, sw), (2, sx)], change, n)
+    assert verlinde == lagrange_buermann([(c2, sv), (c1sq, sw), (2, sx)], change, n)
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3, 4])
@@ -521,7 +522,10 @@ def test_f_exponent_offset_enters_with_its_weight_rho(monkeypatch):
     real = segre_verlinde._first_mismatch
 
     def recording(quotient, order):
-        p_1.append(sum(e * c for c, e in segre_verlinde._merged(quotient).items()))
+        # on the table's integers: bases over q^2 and exponents over 2 q^2,
+        # r/rho = p/q, and the weights over the first one, that of F or G
+        scale = 2 * quotient[0][0] * F(r, rho).denominator ** 4
+        p_1.append(F(sum(e * c for c, e in segre_verlinde._merged(quotient).items()), scale))
         return real(quotient, order)
 
     monkeypatch.setattr(segre_verlinde, "_first_mismatch", recording)
@@ -580,3 +584,101 @@ def test_numbers_and_check_need_no_rational_powers_or_reversion(monkeypatch):
     assert check_correspondence(3, 2, 12) == CorrespondenceReport(3, 2, 12, True, True, None)
     control = check_correspondence(3, 2, 12, f_exponent_offset=F(1, 7))
     assert control == CorrespondenceReport(3, 2, 12, True, False, 1)
+
+
+# -- the integer table ---------------------------------------------------------------
+# numbers and checks run on the table's numerators over q^2 and 2 q^2, s' = p/q;
+# these compare them with the series engine and with Fraction power sums where
+# bases vanish (s' = 1: a = 0; s' = 2: b = 0) or merge (s' = 0: ab = b), at
+# denominators 2 and 3, and at a large q (rho = 97)
+
+_TABLE_RANKS = [*range(1, 8), 97]
+
+
+def _table_points(rho):
+    """Ranks s with s' = s/rho in {0, 1, 2}, with denominators 2 and 3, and generic."""
+    return sorted({0, rho, 2 * rho, F(1, 2), F(-3, 2), F(7, 3), F(-2, 3), 5, -3})
+
+
+@pytest.mark.parametrize("rho", _TABLE_RANKS)
+def test_integer_table_numbers_match_the_series_engine(rho):
+    # one reversion and composition per integrand gives every [z^n], n <= 5
+    order = 5
+    t_of_z = {}
+    for s in _table_points(rho):
+        t_of_z[s] = segre_z_of_t(rho, s, order).revert()
+        v, w, x = vwx_by_powers(rho, s, order)
+        for c2, c1sq in ((2, 4), (-3, -2), (0, 1)):
+            product = v.pow_rational(c2) * w.pow_rational(c1sq) * x.pow_rational(2)
+            expected = product.compose(t_of_z[s])
+            for n in range(order + 1):
+                value = segre_number(SegreParams(rho, s, c2, c1sq, n))
+                assert value == expected.coeff(n), (rho, s, c2, c1sq, n)
+    # r' = 0 and r'^2 = 1 leave one base of F; rho = 2, 3, 97 give q = 2, 3, 97
+    for r in sorted({0, 1, -1, rho, -rho, 2 * rho + 1, 5}):
+        f, g, w_of_nu = fg_by_powers(rho, r, order)
+        nu_of_w = w_of_nu.revert()
+        for chiL in (-2, 0, 3):
+            expected = (g.pow_rational(chiL) * f).compose(nu_of_w)
+            for n in range(order + 1):
+                value = verlinde_number(VerlindeParams(rho, r, chiL, n))
+                assert value == expected.coeff(n), (rho, r, chiL, n)
+
+
+def _fraction_quotients(rho, r, offset):
+    """The (G, F) quotients of the check as Fraction maps, written out from
+    the module docstring's formulas at s = 1 + r', not from the integer table."""
+    r_one = F(r, rho)
+    a = -r_one
+    b = 1 + a
+    v = [(a, -r_one), (b, 1 + r_one)]
+    w = [(a, (r_one - 1) / 2), (b, -r_one / 2)]
+    x = [(a, (r_one * r_one - 1) / 2), (b, -r_one * (r_one + 2) / 2), (a * b, F(-1, 2))]
+    k = r_one * r_one
+    f, g = [(1, k), (k, -1)], [(1, 1)]
+    f_t, g_t = ([p for c, e in m for p in ((a + c, e), (a, -e))] for m in (f, g))
+    return ([(1, g_t), (-1, v), (-2, w)],
+            [(1, f_t), (-rho * offset, v), (4 * (1 + r_one), w), (-2, x)])
+
+
+@pytest.mark.parametrize("rho", _TABLE_RANKS)
+def test_integer_check_matches_fraction_power_sums_and_the_engine(rho, monkeypatch):
+    # the merged integer quotients, divided by their scales, are the Fraction
+    # ones (the weight of W shows only in p_2, which no report reads), and
+    # the Fraction power sums and the engine report the same first orders
+    seen = []
+    real = segre_verlinde._first_mismatch
+    monkeypatch.setattr(segre_verlinde, "_first_mismatch",
+                        lambda quotient, order: seen.append(quotient) or real(quotient, order))
+    rng = random.Random(rho)
+    for r in sorted({0, 1, -1, 2, -3, rho, -rho, 2 * rho, rho + 1}):
+        scale = F(r, rho).denominator ** 2
+        offsets = [0, F(1, 7), 1, F(rng.randint(-9, 9), rng.randint(1, 12)),
+                   F(rng.randint(-99, 99), rng.randint(1, 99))]
+        for offset in offsets:
+            quotients = _fraction_quotients(rho, r, offset)
+            for order in (1, 2, 3, 5):
+                seen.clear()
+                report = check_correspondence(rho, r, order, f_exponent_offset=offset)
+                for ints, fractions in zip(seen, quotients, strict=True):
+                    weight = 2 * scale * ints[0][0]
+                    divided = {F(c, scale): F(e, weight) for c, e in _merged(ints).items()}
+                    assert divided == _merged(fractions), (rho, r, offset)
+                g, f = (real(quotient, order) for quotient in quotients)
+                first = min((m for m in (g, f) if m is not None), default=None)
+                expected = CorrespondenceReport(rho, r, order, g is None, f is None, first)
+                assert report == expected, (rho, r, offset, order)
+            assert (g, f) == correspondence_by_composition(rho, r, 5, offset), (rho, r, offset)
+
+
+def test_rank_one_segre_numbers_of_realizable_data_are_integers():
+    # integer s and c2 and even c1^2, as the even K3 lattice realizes them,
+    # integrate c(alpha^[n]) of an integral class: 5670 points, no oracle
+    points = list(itertools.product(range(-4, 6), range(-4, 5), range(-6, 7, 2), range(9)))
+    assert len(points) == 5670
+    for s, c2, c1sq, n in points:
+        value = segre_number(SegreParams(1, s, c2, c1sq, n))
+        assert value.denominator == 1, (s, c2, c1sq, n)
+    # odd c1^2 is not realizable, and the numbers stop being integers
+    odd = itertools.product(range(-4, 6), range(-4, 5), range(-5, 6, 2), range(9))
+    assert any(segre_number(SegreParams(1, *point)).denominator != 1 for point in odd)
